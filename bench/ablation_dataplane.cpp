@@ -78,45 +78,35 @@ int main(int argc, char** argv) {
             const auto initial = lds::random_points(
                 setup.base.field, setup.initial_nodes, rng);
 
-            // Grid runner.
-            core::SimRunConfig gcfg;
-            gcfg.params = setup.base;
-            gcfg.seed = setup.seed + trial;
-            gcfg.run_time = horizon;
-            gcfg.linger_after_coverage = horizon;
-            gcfg.arq = arq;
-            gcfg.data_plane = data_plane;
-            gcfg.radio.bitrate_bps = bitrate;
-            if (ch.burst > 1.0) {
-              gcfg.radio.propagation =
-                  std::make_shared<sim::GilbertElliottModel>(
-                      sim::GilbertElliottModel::from_loss_and_burst(
-                          ch.loss, ch.burst));
-            } else {
-              gcfg.radio.loss_prob = ch.loss;
-            }
-            gcfg.initial_positions = initial;
-            const auto g = core::run_grid_decor_sim(gcfg);
-
-            // Voronoi runner, same trial deployment and channel.
-            core::VoronoiSimConfig vcfg;
-            vcfg.params = setup.base;
-            vcfg.seed = setup.seed + trial;
-            vcfg.run_time = horizon;
-            vcfg.linger_after_coverage = horizon;
-            vcfg.arq = arq;
-            vcfg.data_plane = data_plane;
-            vcfg.radio.bitrate_bps = bitrate;
-            if (ch.burst > 1.0) {
-              vcfg.radio.propagation =
-                  std::make_shared<sim::GilbertElliottModel>(
-                      sim::GilbertElliottModel::from_loss_and_burst(
-                          ch.loss, ch.burst));
-            } else {
-              vcfg.radio.loss_prob = ch.loss;
-            }
-            vcfg.initial_positions = initial;
-            const auto v = core::run_voronoi_decor_sim(vcfg);
+            // The Gilbert–Elliott channel carries state, so each runner
+            // gets a fresh one.
+            auto channel = [&] {
+              sim::RadioParams radio;
+              radio.bitrate_bps = bitrate;
+              if (ch.burst > 1.0) {
+                radio.propagation =
+                    std::make_shared<sim::GilbertElliottModel>(
+                        sim::GilbertElliottModel::from_loss_and_burst(
+                            ch.loss, ch.burst));
+              } else {
+                radio.loss_prob = ch.loss;
+              }
+              return radio;
+            };
+            core::RunConfig cfg;
+            cfg.params = setup.base;
+            cfg.seed = setup.seed + trial;
+            cfg.run_time = horizon;
+            cfg.linger_after_coverage = horizon;
+            cfg.arq = arq;
+            cfg.data_plane = data_plane;
+            cfg.initial_positions = initial;
+            // Both runners, same trial deployment and channel.
+            cfg.radio = channel();
+            const auto g = core::run_grid_decor_sim(core::SimRunConfig{cfg});
+            cfg.radio = channel();
+            const auto v =
+                core::run_voronoi_decor_sim(core::VoronoiSimConfig{cfg});
 
             auto goodput = [](double bytes, double end) {
               return end > 0.0 ? bytes / end : 0.0;

@@ -120,31 +120,20 @@ int main(int argc, char** argv) {
             const auto initial = lds::random_points(
                 setup.base.field, setup.initial_nodes, rng);
 
-            core::SimRunConfig gcfg;
-            gcfg.params = setup.base;
-            gcfg.seed = setup.seed + trial;
-            gcfg.run_time = 4.0 * horizon;
-            gcfg.linger_after_coverage = horizon;
-            gcfg.arq = arq;
-            gcfg.data_plane = data_plane;
-            gcfg.radio.loss_prob = loss;
-            gcfg.initial_positions = initial;
-            gcfg.fault_plan = fc.plan(rate, side);
-            gcfg.invariant_interval = 0.5;
-            const auto g = core::run_grid_decor_sim(gcfg);
-
-            core::VoronoiSimConfig vcfg;
-            vcfg.params = setup.base;
-            vcfg.seed = setup.seed + trial;
-            vcfg.run_time = 4.0 * horizon;
-            vcfg.linger_after_coverage = horizon;
-            vcfg.arq = arq;
-            vcfg.data_plane = data_plane;
-            vcfg.radio.loss_prob = loss;
-            vcfg.initial_positions = initial;
-            vcfg.fault_plan = fc.plan(rate, side);
-            vcfg.invariant_interval = 0.5;
-            const auto v = core::run_voronoi_decor_sim(vcfg);
+            core::RunConfig cfg;
+            cfg.params = setup.base;
+            cfg.seed = setup.seed + trial;
+            cfg.run_time = 4.0 * horizon;
+            cfg.linger_after_coverage = horizon;
+            cfg.arq = arq;
+            cfg.data_plane = data_plane;
+            cfg.radio.loss_prob = loss;
+            cfg.initial_positions = initial;
+            cfg.fault_plan = fc.plan(rate, side);
+            cfg.invariant_interval = 0.5;
+            const auto g = core::run_grid_decor_sim(core::SimRunConfig{cfg});
+            const auto v =
+                core::run_voronoi_decor_sim(core::VoronoiSimConfig{cfg});
 
             auto goodput = [](double bytes, double end) {
               return end > 0.0 ? bytes / end : 0.0;

@@ -54,30 +54,22 @@ int main(int argc, char** argv) {
       }
 
       // Event-driven protocol runs.
-      {
-        core::SimRunConfig cfg;
-        cfg.params = params;
-        cfg.initial_positions = initial;
-        cfg.seed = setup.seed + trial;
-        cfg.run_time = 240.0;
-        const auto sim = core::run_grid_decor_sim(cfg);
-        table.add(k, "sim_grid_total",
-                  static_cast<double>(sim.initial_nodes + sim.placed_nodes));
-        table.add(k, "sim_grid_radio_tx",
-                  static_cast<double>(sim.radio_tx));
-      }
-      {
-        core::VoronoiSimConfig cfg;
-        cfg.params = params;
-        cfg.initial_positions = initial;
-        cfg.seed = setup.seed + trial;
-        cfg.run_time = 240.0;
-        const auto sim = core::run_voronoi_decor_sim(cfg);
-        table.add(k, "sim_voronoi_total",
-                  static_cast<double>(sim.initial_nodes + sim.placed_nodes));
-        table.add(k, "sim_voronoi_radio_tx",
-                  static_cast<double>(sim.radio_tx));
-      }
+      core::RunConfig cfg;
+      cfg.params = params;
+      cfg.initial_positions = initial;
+      cfg.seed = setup.seed + trial;
+      cfg.run_time = 240.0;
+      const auto grid = core::run_grid_decor_sim(core::SimRunConfig{cfg});
+      table.add(k, "sim_grid_total",
+                static_cast<double>(grid.initial_nodes + grid.placed_nodes));
+      table.add(k, "sim_grid_radio_tx", static_cast<double>(grid.radio_tx));
+      const auto voronoi =
+          core::run_voronoi_decor_sim(core::VoronoiSimConfig{cfg});
+      table.add(k, "sim_voronoi_total",
+                static_cast<double>(voronoi.initial_nodes +
+                                    voronoi.placed_nodes));
+      table.add(k, "sim_voronoi_radio_tx",
+                static_cast<double>(voronoi.radio_tx));
     }
   }
 

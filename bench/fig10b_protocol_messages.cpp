@@ -46,38 +46,29 @@ int main(int argc, char** argv) {
         lds::random_points(params.field, setup.initial_nodes, rng);
     const std::string tag = job.voronoi ? "voronoi" : "grid";
 
+    core::RunConfig cfg;
+    cfg.params = params;
+    cfg.initial_positions = initial;
+    cfg.seed = setup.seed + job.trial;
+    cfg.run_time = 300.0;
     double deploy_tx = 0.0, steady_tx = 0.0, nodes = 1.0;
+    // Deployment phase, then one steady-state minute after convergence.
+    auto measure = [&](core::ProtocolHarness& harness,
+                       const core::RunResult& r) {
+      deploy_tx = static_cast<double>(r.radio_tx);
+      nodes = static_cast<double>(r.initial_nodes + r.placed_nodes);
+      auto& sim = harness.world().sim();
+      const auto tx0 = harness.world().radio().total_tx();
+      sim.run_until(sim.now() + 60.0);
+      steady_tx =
+          static_cast<double>(harness.world().radio().total_tx() - tx0);
+    };
     if (job.voronoi) {
-      core::VoronoiSimConfig cfg;
-      cfg.params = params;
-      cfg.initial_positions = initial;
-      cfg.seed = setup.seed + job.trial;
-      cfg.run_time = 300.0;
-      core::VoronoiSimHarness harness(cfg);
-      const auto r = harness.run();
-      deploy_tx = static_cast<double>(r.radio_tx);
-      nodes = static_cast<double>(r.initial_nodes + r.placed_nodes);
-      // One steady-state minute after convergence.
-      auto& sim = harness.world().sim();
-      const auto tx0 = harness.world().radio().total_tx();
-      sim.run_until(sim.now() + 60.0);
-      steady_tx =
-          static_cast<double>(harness.world().radio().total_tx() - tx0);
+      core::VoronoiSimHarness harness(core::VoronoiSimConfig{cfg});
+      measure(harness, harness.run());
     } else {
-      core::SimRunConfig cfg;
-      cfg.params = params;
-      cfg.initial_positions = initial;
-      cfg.seed = setup.seed + job.trial;
-      cfg.run_time = 300.0;
-      core::GridSimHarness harness(cfg);
-      const auto r = harness.run();
-      deploy_tx = static_cast<double>(r.radio_tx);
-      nodes = static_cast<double>(r.initial_nodes + r.placed_nodes);
-      auto& sim = harness.world().sim();
-      const auto tx0 = harness.world().radio().total_tx();
-      sim.run_until(sim.now() + 60.0);
-      steady_tx =
-          static_cast<double>(harness.world().radio().total_tx() - tx0);
+      core::GridSimHarness harness(core::SimRunConfig{cfg});
+      measure(harness, harness.run());
     }
     const double x = static_cast<double>(job.k);
     return std::vector<bench::Sample>{

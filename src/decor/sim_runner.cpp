@@ -7,73 +7,18 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/metrics.hpp"
-#include "common/otlp.hpp"
-#include "common/require.hpp"
 #include "coverage/benefit_index.hpp"
-#include "decor/point_field.hpp"
-#include "net/leader_election.hpp"
+#include "decor/protocol_node.hpp"
 #include "net/messages.hpp"
-#include "sim/flight_recorder.hpp"
 
 namespace decor::core {
 
-namespace {
-/// Exact-position keys: spawn positions are approximation-point
-/// coordinates copied bit-for-bit, so double equality is reliable here.
-struct PosKey {
-  double x, y;
-  bool operator==(const PosKey&) const = default;
-};
-struct PosKeyHash {
-  std::size_t operator()(const PosKey& k) const noexcept {
-    std::hash<double> h;
-    return h(k.x) * 1000003u ^ h(k.y);
-  }
-};
-
-}  // namespace
-
-std::string otlp_span_name(std::string_view kind, std::string_view detail) {
-  const auto pos = detail.find("kind=");
-  if (pos != std::string_view::npos) {
-    int mk = 0;
-    for (std::size_t i = pos + 5; i < detail.size(); ++i) {
-      const char c = detail[i];
-      if (c < '0' || c > '9') break;
-      mk = mk * 10 + (c - '0');
-    }
-    if (const char* name = net::msg_kind_name(mk)) {
-      return std::string("msg.") + name;
-    }
-  }
-  return std::string(kind);
-}
-
-struct GridSimHarness::Shared {
-  DecorParams params;
+struct GridSimHarness::Shared : NodeShared {
   geom::GridPartition partition;
-  double rc_protocol = 0.0;
   double placement_interval = 0.5;
   double seed_check_interval = 5.0;
   double silence_threshold = 5.0;
-  net::HeartbeatParams heartbeat;
   net::ElectionParams election;
-  bool enable_arq = true;
-  net::ReliableLinkParams arq;
-  net::DataPlaneParams data_plane;
-  GridSimHarness* harness = nullptr;
-  const geom::PointGridIndex* points = nullptr;
-  /// Placement audit sink, or nullptr when auditing is off. Nodes only
-  /// pre-mint kPlacement trace ids when auditing, so non-audited runs
-  /// keep their exact pre-audit trace-id sequences.
-  sim::AuditLog* audit = nullptr;
-
-  /// Per-world ARQ accounting every node's link feeds (simulation is
-  /// single-threaded; surfaced through SimRunResult).
-  net::ArqStats arq_stats;
-  /// Per-world data-plane accounting (zeros unless the data plane runs).
-  net::DataPlaneStats data_stats;
   /// Cell -> id of the node that most recently became that cell's leader
   /// (self-registration; used only for chaos targeting). Ordered so the
   /// leader-kill picks deterministically.
@@ -86,22 +31,15 @@ struct GridSimHarness::Shared {
   std::vector<std::uint32_t> point_cell;
   std::vector<std::uint32_t> point_slot;
 
-  Shared(const DecorParams& p, double rc, const SimRunConfig& cfg)
-      : params(p),
-        partition(p.field, p.cell_side),
-        rc_protocol(rc),
+  explicit Shared(const SimRunConfig& cfg)
+      : partition(cfg.params.field, cfg.params.cell_side),
         placement_interval(cfg.placement_interval),
         seed_check_interval(cfg.seed_check_interval),
         silence_threshold(cfg.heartbeat.period * cfg.heartbeat.timeout_periods +
                           1.0),
-        heartbeat(cfg.heartbeat),
-        election(cfg.election),
-        enable_arq(cfg.enable_arq),
-        arq(cfg.arq),
-        data_plane(cfg.data_plane) {}
+        election(cfg.election) {}
 
   void index_points(const geom::PointGridIndex& index) {
-    points = &index;
     cell_points.assign(partition.num_cells(), {});
     point_cell.resize(index.size());
     point_slot.resize(index.size());
@@ -123,10 +61,7 @@ class DecorGridSimNode final : public net::SensorNode {
   using Shared = GridSimHarness::Shared;
 
   explicit DecorGridSimNode(std::shared_ptr<Shared> shared)
-      : net::SensorNode(make_node_params(*shared)), shared_(std::move(shared)) {
-    set_arq_stats(&shared_->arq_stats);
-    set_data_stats(&shared_->data_stats);
-  }
+      : net::SensorNode(shared->node), shared_(std::move(shared)) {}
 
   void on_start() override {
     cell_ = static_cast<std::uint32_t>(shared_->partition.cell_of(pos()));
@@ -239,16 +174,6 @@ class DecorGridSimNode final : public net::SensorNode {
   }
 
  private:
-  static net::SensorNodeParams make_node_params(const Shared& shared) {
-    net::SensorNodeParams p;
-    p.rc = shared.rc_protocol;
-    p.heartbeat = shared.heartbeat;
-    p.enable_arq = shared.enable_arq;
-    p.arq = shared.arq;
-    p.data_plane = shared.data_plane;
-    return p;
-  }
-
   void note_cell(std::uint32_t cell) {
     cell_last_heard_[cell] = world().sim().now();
     // Hearing from a cell re-arms seeding: if the cell later dies again
@@ -452,151 +377,47 @@ class DecorGridSimNode final : public net::SensorNode {
 
 }  // namespace
 
-GridSimHarness::GridSimHarness(SimRunConfig cfg) : cfg_(std::move(cfg)) {
-  // A fault campaign implies reboots are possible: the ARQ must re-open
-  // its dedup window when it gives a peer up for dead, or the rebooted
-  // incarnation's fresh traffic is swallowed as duplicates. Applied
-  // before Shared copies the params so every node inherits it.
-  if (!cfg_.fault_plan.empty()) cfg_.arq.purge_on_give_up = true;
-  const auto& p = cfg_.params;
-  // Protocol range: must span a cell (intra-cell connectivity assumption)
-  // and reach leaders of adjacent cells (up to two cell diagonals away).
-  const double rc_protocol =
-      std::max(p.rc, 2.0 * p.cell_side * std::numbers::sqrt2);
-  world_ = std::make_unique<sim::World>(p.field, cfg_.radio, cfg_.seed,
-                                        rc_protocol);
-  // Every producer publishes on the harness bus, so extra sinks (live
-  // stream, OTLP) see all streams; attach must precede any open_jsonl.
-  world_->trace().attach_bus(&bus_);
-  timeline_.attach_bus(&bus_);
-  audit_.attach_bus(&bus_);
-  metrics_snap_.attach_bus(&bus_);
-  if (!cfg_.telemetry_stream.empty()) {
-    auto stream = std::make_unique<common::FrameStreamSink>(
-        cfg_.telemetry_stream);
-    DECOR_REQUIRE_MSG(stream->ok(), "cannot open telemetry stream: " +
-                                        cfg_.telemetry_stream);
-    telemetry_sink_ = stream.get();
-    bus_.add_sink(std::move(stream));
-  }
-  if (!cfg_.otlp.empty()) {
-    auto otlp = std::make_unique<common::OtlpSink>(cfg_.otlp);
-    otlp->set_span_namer([](std::string_view kind, std::string_view detail) {
-      return otlp_span_name(kind, detail);
-    });
-    bus_.add_sink(std::move(otlp));
-    // Spans are built from trace causality ids, so the exporter implies
-    // trace recording even when --trace was not given.
-    world_->trace().enable(true);
-  }
-  if (cfg_.trace_capacity > 0) {
-    world_->trace().set_capacity(cfg_.trace_capacity);
-  }
-  if (!cfg_.trace_jsonl.empty()) {
-    // An unopenable sink is a fatal misconfiguration: silently running
-    // without the dump the caller asked for wastes the whole run.
-    DECOR_REQUIRE_MSG(world_->trace().open_jsonl(cfg_.trace_jsonl),
-                      "cannot open trace JSONL sink: " + cfg_.trace_jsonl);
-  }
-  if (cfg_.trace || !cfg_.trace_jsonl.empty()) world_->trace().enable(true);
-  if (!cfg_.timeline_jsonl.empty()) {
-    DECOR_REQUIRE_MSG(timeline_.open_jsonl(cfg_.timeline_jsonl),
-                      "cannot open timeline JSONL sink: " + cfg_.timeline_jsonl);
-  }
-  if (!cfg_.flight_dir.empty()) {
-    // Same fail-fast contract as the JSONL sinks: discovering at dump
-    // time that the post-mortem directory is unwritable loses the
-    // evidence the caller asked to keep.
-    DECOR_REQUIRE_MSG(sim::prepare_flight_dir(cfg_.flight_dir),
-                      "cannot write flight dir: " + cfg_.flight_dir);
-  }
-  common::Rng point_rng(cfg_.seed ^ 0x5eedbeefULL);
-  map_ = std::make_unique<coverage::CoverageMap>(
-      p.field, make_points(p, point_rng), p.rs);
-  if (cfg_.field_interval > 0.0 || !cfg_.field_jsonl.empty()) {
-    const std::size_t side =
-        cfg_.field_raster > 0
-            ? cfg_.field_raster
-            : coverage::FieldRecorder::default_raster(p.field, p.rs);
-    field_ = std::make_unique<coverage::FieldRecorder>(p.field, p.k, side,
-                                                       side);
-    field_->attach_bus(&bus_);
-    if (!cfg_.field_jsonl.empty()) {
-      DECOR_REQUIRE_MSG(field_->open_jsonl(cfg_.field_jsonl),
-                        "cannot open field JSONL sink: " + cfg_.field_jsonl);
-    }
-  }
-  if (!cfg_.audit_jsonl.empty()) {
-    DECOR_REQUIRE_MSG(audit_.open_jsonl(cfg_.audit_jsonl),
-                      "cannot open audit JSONL sink: " + cfg_.audit_jsonl);
-  }
-  if (!cfg_.metrics_jsonl.empty()) {
-    DECOR_REQUIRE_MSG(metrics_snap_.open_jsonl(cfg_.metrics_jsonl),
-                      "cannot open metrics JSONL sink: " + cfg_.metrics_jsonl);
-  }
-  shared_ = std::make_shared<Shared>(p, rc_protocol, cfg_);
-  shared_->harness = this;
-  if (cfg_.audit || !cfg_.audit_jsonl.empty()) shared_->audit = &audit_;
-  shared_->index_points(map_->index());
-  if (!cfg_.fault_plan.empty()) {
-    sim::FaultInjector::Hooks hooks;
-    hooks.kill = [this](std::uint32_t id) { kill_node(id); };
-    hooks.reboot = [this](std::uint32_t id) { reboot_node(id); };
-    const bool has_sink = cfg_.data_plane.enabled;
-    const std::uint32_t sink = cfg_.data_plane.sink;
-    hooks.is_protected = [has_sink, sink](std::uint32_t id) {
-      return has_sink && id == sink;
-    };
-    hooks.sink = sink;
-    hooks.has_sink = has_sink;
-    injector_ = std::make_unique<sim::FaultInjector>(*world_, cfg_.fault_plan,
-                                                     std::move(hooks));
-    injector_->arm();
-  }
-  if (cfg_.invariant_interval > 0.0) register_invariants();
+namespace {
+
+/// Protocol range: must span a cell (intra-cell connectivity assumption)
+/// and reach leaders of adjacent cells (up to two cell diagonals away).
+double grid_radio_range(const DecorParams& p) {
+  return std::max(p.rc, 2.0 * p.cell_side * std::numbers::sqrt2);
 }
 
-void GridSimHarness::register_invariants() {
-  // (1) Ground-truth coverage consistency: the CoverageMap must credit
-  // exactly the alive population — a disc left behind by a kill, or
-  // missing after a reboot, shows up as a count mismatch here.
-  monitor_.add_check("coverage-alive", [this]() -> std::optional<std::string> {
-    const auto& idx = map_->index();
-    std::vector<std::uint32_t> counts(idx.size(), 0);
-    for (std::uint32_t id : world_->alive_ids()) {
-      idx.for_each_in_disc(world_->position(id), cfg_.params.rs,
-                           [&](std::size_t pid) { ++counts[pid]; });
-    }
-    std::size_t covered = 0;
-    for (auto c : counts) {
-      if (c >= cfg_.params.k) ++covered;
-    }
-    const std::size_t believed = map_->num_covered(cfg_.params.k);
-    if (covered != believed) {
-      return "alive nodes cover " + std::to_string(covered) +
-             " points but the map credits " + std::to_string(believed);
-    }
-    return std::nullopt;
-  });
-  // (2) Leader uniqueness: after quiet periods every cell converges to
-  // at most one leader. Transient splits are legal (that is what term
+}  // namespace
+
+GridSimHarness::GridSimHarness(SimRunConfig cfg)
+    : ProtocolHarness(cfg, grid_radio_range(cfg.params), "grid"),
+      shared_(std::make_shared<Shared>(cfg)) {
+  shared_->index_points(map().index());
+  finish_setup(shared_);
+}
+
+std::unique_ptr<net::SensorNode> GridSimHarness::make_node() {
+  return std::make_unique<DecorGridSimNode>(shared_);
+}
+
+void GridSimHarness::add_scheme_invariants() {
+  // Leader uniqueness: after quiet periods every cell converges to at
+  // most one leader. Transient splits are legal (that is what term
   // rotation reconciles), so a conflict only becomes a violation once it
   // outlives a full election term; checks are suspended outright while a
   // partition is installed (split-brain is *expected* across a cut).
-  monitor_.add_check("single-leader-per-cell",
-                     [this]() -> std::optional<std::string> {
-    if (injector_ && injector_->partition_active()) {
+  monitor().add_check("single-leader-per-cell",
+                      [this]() -> std::optional<std::string> {
+    if (injector() != nullptr && injector()->partition_active()) {
       leader_conflict_since_.clear();
       return std::nullopt;
     }
     std::map<std::uint32_t, std::uint32_t> leaders;
-    for (std::uint32_t id : world_->alive_ids()) {
-      if (auto* n = dynamic_cast<DecorGridSimNode*>(&world_->node(id))) {
+    for (std::uint32_t id : world().alive_ids()) {
+      if (auto* n = dynamic_cast<DecorGridSimNode*>(&world().node(id))) {
         if (n->is_cell_leader()) ++leaders[n->cell()];
       }
     }
-    const double now = world_->sim().now();
-    const double grace = cfg_.election.term_duration + 5.0;
+    const double now = world().sim().now();
+    const double grace = shared_->election.term_duration + 5.0;
     std::optional<std::string> verdict;
     std::map<std::uint32_t, double> still;
     for (const auto& [cell, n] : leaders) {
@@ -614,308 +435,34 @@ void GridSimHarness::register_invariants() {
     leader_conflict_since_ = std::move(still);
     return verdict;
   });
-  // (3) ArqStats conservation: every reliable send must end up exactly
-  // once in completed / failed / abandoned or still be pending on an
-  // alive link. Dead links were drained into `abandoned` by host_died().
-  monitor_.add_check("arq-conservation",
-                     [this]() -> std::optional<std::string> {
-    const auto& a = shared_->arq_stats;
-    std::uint64_t in_flight = 0;
-    for (std::uint32_t id : world_->alive_ids()) {
-      if (auto* sn = dynamic_cast<net::SensorNode*>(&world_->node(id))) {
-        if (auto* l = sn->link()) in_flight += l->in_flight();
-      }
-    }
-    const std::uint64_t accounted =
-        a.completed + a.failed + a.abandoned + in_flight;
-    if (a.sent != accounted) {
-      return "sent=" + std::to_string(a.sent) + " but completed+failed+" +
-             "abandoned+in_flight=" + std::to_string(accounted);
-    }
-    return std::nullopt;
-  });
-  // (4) Goodput bound: the sink can never deliver more unique readings
-  // than the field originated (dedup or incarnation bookkeeping broke if
-  // it does). Trivially true while the data plane is off.
-  monitor_.add_check("goodput-bound", [this]() -> std::optional<std::string> {
-    const auto& d = shared_->data_stats;
-    if (d.readings_delivered > d.readings_originated) {
-      return "delivered " + std::to_string(d.readings_delivered) +
-             " unique readings but only " +
-             std::to_string(d.readings_originated) + " were originated";
-    }
-    return std::nullopt;
-  });
-  monitor_.set_on_first_violation(
-      [this](const std::string& name, const std::string& detail) {
-        if (!cfg_.flight_dir.empty()) {
-          dump_flight_bundle("invariant", name + ": " + detail);
-        }
-      });
 }
 
-GridSimHarness::~GridSimHarness() = default;
-
-const geom::GridPartition& GridSimHarness::partition() const noexcept {
-  return shared_->partition;
-}
-
-std::uint32_t GridSimHarness::spawn_node(geom::Point2 pos) {
-  const auto id =
-      world_->spawn(pos, std::make_unique<DecorGridSimNode>(shared_));
-  map_->add_disc(pos);
-  if (initial_deployed_) placements_.push_back(pos);
-  return id;
-}
-
-void GridSimHarness::kill_node(std::uint32_t id) {
-  if (!world_->alive(id)) return;
-  const auto pos = world_->position(id);
-  world_->kill(id);
-  map_->remove_disc(pos);
-}
-
-void GridSimHarness::reboot_node(std::uint32_t id) {
-  if (world_->alive(id)) return;
-  world_->reboot(id, std::make_unique<DecorGridSimNode>(shared_));
-  map_->add_disc(world_->position(id));
-}
-
-void GridSimHarness::schedule_leader_kill(double at) {
-  world_->sim().schedule_at(at, [this] {
-    for (const auto& [cell, id] : shared_->cell_leader) {
-      (void)cell;
-      if (world_->alive(id)) {
-        kill_node(id);
-        return;
-      }
-    }
-  });
-}
-
-void GridSimHarness::schedule_random_kills(double at, std::size_t count) {
-  world_->sim().schedule_at(at, [this, count] {
-    auto alive = world_->alive_ids();
-    // The data-plane sink is infrastructure (the base station): random
-    // chaos must never take it down — only an explicit sink_outage fault
-    // event may. Filtered before sampling so the exclusion is
-    // deterministic, not a retry.
-    if (cfg_.data_plane.enabled) std::erase(alive, cfg_.data_plane.sink);
-    const auto picks =
-        world_->rng().sample_indices(alive.size(),
-                                     std::min(count, alive.size()));
-    for (std::size_t idx : picks) kill_node(alive[idx]);
-  });
-}
-
-sim::TimelineSample GridSimHarness::sample_timeline() {
-  sim::TimelineSample s;
-  s.t = world_->sim().now();
-  s.covered_fraction = map_->fraction_covered(cfg_.params.k);
-  s.uncovered_points = static_cast<std::uint64_t>(
-      map_->num_points() - map_->num_covered(cfg_.params.k));
-  s.alive_nodes = world_->alive_count();
-  std::uint64_t in_flight = 0;
-  for (std::uint32_t id : world_->alive_ids()) {
-    if (auto* sn = dynamic_cast<net::SensorNode*>(&world_->node(id))) {
-      if (auto* l = sn->link()) in_flight += l->in_flight();
-    }
-  }
-  s.arq_in_flight = in_flight;
+std::string GridSimHarness::timeline_leaders() {
   std::string leaders;
   for (const auto& [cell, id] : shared_->cell_leader) {
-    if (!world_->alive(id)) continue;
+    if (!world().alive(id)) continue;
     if (!leaders.empty()) leaders += ' ';
     leaders += std::to_string(cell);
     leaders += ':';
     leaders += std::to_string(id);
   }
-  s.leaders = std::move(leaders);
-  if (cfg_.data_plane.enabled) {
-    s.has_readings = true;
-    s.readings_delivered = shared_->data_stats.readings_delivered;
-    s.reading_bytes = shared_->data_stats.bytes_delivered;
-  }
-  if (monitor_.active()) {
-    s.has_invariants = true;
-    s.invariant_violations = monitor_.violations();
-  }
-  if (cfg_.timeline_arq) {
-    s.has_arq_detail = true;
-    s.arq_sent = shared_->arq_stats.sent;
-    s.arq_retx = shared_->arq_stats.retx;
-  }
-  return s;
+  return leaders;
 }
 
-void GridSimHarness::dump_flight_bundle(const std::string& reason,
-                                        const std::string& detail) {
-  sim::FlightBundleInfo info;
-  info.reason = reason;
-  info.sim_time = world_->sim().now();
-  info.scheme = "grid";
-  info.detail = detail;
-  if (injector_) info.faults_json = injector_->manifest_json();
-  if (field_ != nullptr) {
-    info.field_jsonl = field_->header_json() + "\n";
-    if (const auto* s = field_->latest()) {
-      info.field_jsonl += coverage::FieldRecorder::snapshot_json(*s) + "\n";
-    }
-  }
-  if (metrics_snap_.snapshots_taken() > 0) {
-    info.metrics_jsonl = "{\"schema\":\"decor.metrics.v1\"}\n";
-    for (const auto& line : metrics_snap_.tail()) {
-      info.metrics_jsonl += line + "\n";
-    }
-  }
-  sim::write_flight_bundle(cfg_.flight_dir, info, world_->trace(),
-                           &timeline_);
+const geom::GridPartition& GridSimHarness::partition() const noexcept {
+  return shared_->partition;
 }
 
-SimRunResult GridSimHarness::run() {
-  if (!initial_deployed_) {
-    for (const auto& pos : cfg_.initial_positions) spawn_node(pos);
-    initial_nodes_ = cfg_.initial_positions.size();
-    initial_deployed_ = true;
-  }
-  if (cfg_.timeline_interval > 0.0 && !timeline_.active()) {
-    timeline_.start(world_->sim(), cfg_.timeline_interval,
-                    [this] { return sample_timeline(); });
-  }
-  if (cfg_.invariant_interval > 0.0 && !monitor_.active()) {
-    monitor_.start(world_->sim(), cfg_.invariant_interval);
-  }
-  if ((cfg_.metrics_interval > 0.0 || !cfg_.metrics_jsonl.empty()) &&
-      !metrics_snap_.active()) {
-    // Path-only configs ride the timeline cadence (then 1s) so the two
-    // series line up sample-for-sample.
-    const double every =
-        cfg_.metrics_interval > 0.0
-            ? cfg_.metrics_interval
-            : (cfg_.timeline_interval > 0.0 ? cfg_.timeline_interval : 1.0);
-    metrics_snap_.start(world_->sim(), every);
-  }
-
-  SimRunResult result;
-  result.initial_nodes = initial_nodes_;
-  const std::size_t placements_before = placements_.size();
-
-  // Poll ground truth; stop as soon as the field is fully covered. The
-  // closure owns its state through shared_ptrs so a poll left pending
-  // after a timed-out run stays safe to execute on a later resume.
-  struct PollState {
-    double finish_time;
-    bool covered = false;
-  };
-  auto state = std::make_shared<PollState>(PollState{cfg_.run_time, false});
-  auto poll = std::make_shared<std::function<void()>>();
-  // The closure holds itself only weakly: no ownership cycle, and a poll
-  // left pending after a timed-out run degrades to a no-op on resume.
-  std::weak_ptr<std::function<void()>> weak_poll = poll;
-  *poll = [this, state, weak_poll] {
-    if (map_->fully_covered(cfg_.params.k)) {
-      state->covered = true;
-      state->finish_time = world_->sim().now();
-      // The milestone lands in the trace so a dump alone (without the
-      // harness result) still yields the convergence time, and on the
-      // timeline so its convergence query sees a zero-uncovered sample.
-      world_->trace().record(world_->sim().now(), sim::TraceKind::kProtocol,
-                             0, "converged");
-      if (timeline_.active()) timeline_.sample_once();
-      if (metrics_snap_.active()) metrics_snap_.snapshot_once();
-      // Final proof pass at the convergence instant, mirroring the
-      // timeline's forced sample.
-      if (monitor_.active()) monitor_.check_now();
-      // Forced snapshot at the convergence instant: the final (hole-free)
-      // field always lands on the recorder even between cadence ticks.
-      if (field_) field_->snapshot(world_->sim().now(), *map_, true);
-      if (cfg_.linger_after_coverage > 0.0) {
-        // Fixed post-restoration horizon: keep the data plane flowing
-        // so goodput is measured over a comparable window regardless of
-        // when convergence happened (run_until still caps at run_time).
-        world_->sim().schedule(cfg_.linger_after_coverage,
-                               [this] { world_->sim().stop(); });
-      } else {
-        world_->sim().stop();
+void GridSimHarness::schedule_leader_kill(double at) {
+  world().sim().schedule_at(at, [this] {
+    for (const auto& [cell, id] : shared_->cell_leader) {
+      (void)cell;
+      if (world().alive(id)) {
+        kill_node(id);
+        return;
       }
-      return;
     }
-    if (auto self = weak_poll.lock()) world_->sim().schedule(0.5, *self);
-  };
-  world_->sim().schedule(0.5, *poll);
-  // Periodic field snapshots ride their own weak self-scheduling chain
-  // (same lifetime contract as the poll); the first fires immediately so
-  // the pre-restoration deficit field is always recorded.
-  auto field_tick = std::make_shared<std::function<void()>>();
-  if (field_) {
-    const double every =
-        cfg_.field_interval > 0.0 ? cfg_.field_interval : 1.0;
-    std::weak_ptr<std::function<void()>> weak_field = field_tick;
-    *field_tick = [this, every, weak_field] {
-      field_->snapshot(world_->sim().now(), *map_);
-      if (auto self = weak_field.lock()) world_->sim().schedule(every, *self);
-    };
-    world_->sim().schedule(0.0, *field_tick);
-  }
-  try {
-    world_->sim().run_until(cfg_.run_time);
-  } catch (const std::exception& e) {
-    // Best-effort post-mortem before the error propagates: the in-memory
-    // trace/timeline/metrics are exactly what debugging needs.
-    if (!cfg_.flight_dir.empty()) dump_flight_bundle("exception", e.what());
-    throw;
-  }
-
-  result.reached_full_coverage =
-      state->covered || map_->fully_covered(cfg_.params.k);
-  if (!cfg_.flight_dir.empty() && !result.reached_full_coverage) {
-    dump_flight_bundle(
-        "non-convergence",
-        std::to_string(map_->num_points() -
-                       map_->num_covered(cfg_.params.k)) +
-            " points below k-coverage at run_time");
-  }
-  result.finish_time = state->finish_time;
-  result.end_time = world_->sim().now();
-  result.placed_nodes = placements_.size();
-  result.placements = placements_;
-  result.radio_tx = world_->radio().total_tx();
-  result.radio_rx = world_->radio().total_rx();
-  result.arq = shared_->arq_stats;
-  result.data = shared_->data_stats;
-  if (injector_) result.faults_fired = injector_->faults_fired();
-  result.radio_corrupted = world_->radio().total_corrupted();
-  result.radio_partition_blocked = world_->radio().total_partition_blocked();
-  result.invariant_checks = monitor_.checks_run();
-  result.invariant_violations = monitor_.violations();
-  result.metrics = coverage::compute_metrics(*map_, cfg_.params.k + 1);
-  // One update per run (placements made during *this* call, so repeated
-  // runs on one harness never double-count); the hot protocol path stays
-  // free of instrumentation.
-  if (common::metrics_enabled()) {
-    auto& m = common::metrics();
-    static common::Counter& runs = m.counter("protocol.grid.runs");
-    static common::Counter& placed = m.counter("protocol.grid.placements");
-    static common::Counter& covered =
-        m.counter("protocol.grid.covered_runs");
-    runs.inc();
-    placed.inc(placements_.size() - placements_before);
-    if (result.reached_full_coverage) covered.inc();
-  }
-  // End-of-run barrier for buffered sinks: the OTLP exporter writes its
-  // document here, the live stream drains its pending frames.
-  bus_.flush();
-  // Whole frames the live stream shed (TCP backpressure drops entire
-  // DTLM frames, never partial ones) — counted after the flush so the
-  // final drain is included. Delta since the last run() on this harness.
-  if (telemetry_sink_ != nullptr && common::metrics_enabled()) {
-    const std::uint64_t dropped = telemetry_sink_->frames_dropped();
-    common::metrics()
-        .counter("telemetry.dropped_frames")
-        .inc(dropped - telemetry_dropped_reported_);
-    telemetry_dropped_reported_ = dropped;
-  }
-  return result;
+  });
 }
 
 SimRunResult run_grid_decor_sim(const SimRunConfig& cfg) {

@@ -7,212 +7,42 @@
 // rotation, and replacement sensors are spawned into the running world.
 // It exists to validate the protocol end-to-end (tests) and to ground the
 // message accounting of the offline engine against real radio traffic.
+// Everything but the leader-driven node logic lives in the shared
+// ProtocolHarness core (protocol_harness.hpp).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <vector>
 
-#include "common/telemetry.hpp"
-#include "coverage/coverage_map.hpp"
-#include "coverage/field_recorder.hpp"
-#include "coverage/metrics.hpp"
-#include "decor/params.hpp"
+#include "decor/protocol_harness.hpp"
 #include "geometry/grid_partition.hpp"
 #include "net/leader_election.hpp"
-#include "net/sensor_node.hpp"
-#include "sim/audit_log.hpp"
-#include "sim/fault.hpp"
-#include "sim/invariant_monitor.hpp"
-#include "sim/metrics_snapshot.hpp"
-#include "sim/timeline.hpp"
-#include "sim/world.hpp"
 
 namespace decor::core {
 
-struct SimRunConfig {
-  DecorParams params;
-  std::vector<geom::Point2> initial_positions;
-  std::uint64_t seed = 1;
-
-  /// Wall limit in simulated seconds; the run also stops as soon as the
-  /// field is fully k-covered.
-  double run_time = 300.0;
-
-  /// When > 0, reaching full k-coverage no longer stops the run at the
-  /// convergence instant: the simulation keeps going for this many extra
-  /// seconds (still capped by run_time). finish_time records the
-  /// convergence time either way. This gives the data plane a
-  /// fixed-length measurement window, so goodput comparisons are not
-  /// confounded by how quickly restoration happened to converge.
-  double linger_after_coverage = 0.0;
-
+struct SimRunConfig : RunConfig {
   /// Pacing of a leader's placement loop (one new sensor per interval).
   double placement_interval = 0.5;
 
   /// How often leaders probe adjacent cells for silence before seeding.
   double seed_check_interval = 5.0;
 
-  net::HeartbeatParams heartbeat{1.0, 3.5};
   net::ElectionParams election{60.0, 0.05, 0.01};
-  sim::RadioParams radio{};
-
-  /// ARQ (net::ReliableLink) under the control-plane messages (kLeader,
-  /// kPlacement, kCoverageQuery/Reply, seed probes); kHello/kHeartbeat
-  /// stay best-effort. Disable to reproduce the fire-and-forget stack.
-  bool enable_arq = true;
-  net::ReliableLinkParams arq{};
-
-  /// Data-plane workload: every non-sink sensor streams kReading frames
-  /// to the base station (node 0, the first initial position) while
-  /// restoration runs. Off by default — control-plane-only trajectories
-  /// stay byte-identical.
-  net::DataPlaneParams data_plane{};
-
-  /// Tracing (applied to the world's Trace at construction): record
-  /// protocol events, optionally bounded to the `trace_capacity` most
-  /// recent records (0 = unbounded) and/or streamed to `trace_jsonl` as
-  /// one JSON object per line.
-  bool trace = false;
-  std::size_t trace_capacity = 0;
-  std::string trace_jsonl;
-
-  /// Convergence timeline: sample coverage/liveness/ARQ state every
-  /// `timeline_interval` sim-seconds (0 = no timeline), optionally
-  /// streaming decor.timeline.v1 lines to `timeline_jsonl`.
-  double timeline_interval = 0.0;
-  std::string timeline_jsonl;
-
-  /// Spatial field recorder: rasterized k-deficit snapshots every
-  /// `field_interval` sim-seconds (decor.field.v1), with a forced
-  /// snapshot at the convergence instant. Recording is on when either
-  /// field_interval > 0 or `field_jsonl` is set (the interval then
-  /// defaults to 1s); `field_raster` overrides the rs-derived raster
-  /// side (0 = FieldRecorder::default_raster).
-  double field_interval = 0.0;
-  std::string field_jsonl;
-  std::size_t field_raster = 0;
-
-  /// Placement audit log: record every placement decision (in memory;
-  /// tests and reports). `audit_jsonl` additionally streams each record
-  /// as a decor.audit.v1 line and implies `audit`.
-  bool audit = false;
-  std::string audit_jsonl;
-
-  /// Flight recorder: when set, a run that ends without full coverage (or
-  /// aborts on an exception) dumps trace/timeline/metrics into this
-  /// directory (see sim/flight_recorder.hpp for the bundle layout).
-  std::string flight_dir;
-
-  /// Fault campaign (decor.faults.v1): armed on the event queue before
-  /// the run starts. A non-empty plan switches the ARQ to
-  /// purge_on_give_up so rebooted peers are un-quarantined (see
-  /// ReliableLinkParams); empty plans leave trajectories untouched.
-  sim::FaultPlan fault_plan;
-
-  /// Invariant monitor cadence in sim-seconds (0 = monitor off): every
-  /// period the harness re-proves ground-truth coverage consistency,
-  /// leader uniqueness, ArqStats conservation and the goodput bound, and
-  /// dumps a flight bundle (if flight_dir is set) on first violation.
-  double invariant_interval = 0.0;
-
-  /// Periodic metrics-registry snapshots (decor.metrics.v1): active when
-  /// `metrics_interval` > 0 or `metrics_jsonl` is set. The cadence
-  /// defaults to the timeline cadence (then 1s) when only the sink path
-  /// is given. Snapshots are meaningful only while the registry is
-  /// enabled (--json / MetricsRegistry::enable).
-  double metrics_interval = 0.0;
-  std::string metrics_jsonl;
-
-  /// Live telemetry stream: length-prefixed DTLM frames of the
-  /// timeline/field/audit/metrics streams to "-" (stdout), a file path,
-  /// or "tcp:HOST:PORT" (what `decor watch` consumes).
-  std::string telemetry_stream;
-
-  /// OTLP/JSON export endpoint: a file path (document rewritten at run
-  /// end) or "http://host:port/path" (best-effort POST). Implies trace
-  /// recording — spans are built from trace causality ids.
-  std::string otlp;
-
-  /// Serialize cumulative ARQ sent/retx counters on every timeline
-  /// sample (the live dashboard's retx-ratio series). Off by default so
-  /// existing decor.timeline.v1 output stays byte-identical.
-  bool timeline_arq = false;
 };
 
-struct SimRunResult {
-  std::size_t initial_nodes = 0;
-  std::size_t placed_nodes = 0;
-  bool reached_full_coverage = false;
-  double finish_time = 0.0;
-  /// Sim clock when the run actually stopped (== finish_time unless
-  /// linger_after_coverage extended it); goodput denominators use this.
-  double end_time = 0.0;
-  std::uint64_t radio_tx = 0;
-  std::uint64_t radio_rx = 0;
-  /// ARQ accounting, cumulative over the harness lifetime (not reset
-  /// between repeated run() calls on one harness).
-  net::ArqStats arq;
-  /// Data-plane accounting (all zeros unless cfg.data_plane.enabled).
-  net::DataPlaneStats data;
-  coverage::CoverageMetrics metrics;
-  std::vector<geom::Point2> placements;
-  /// Fault-campaign accounting (zeros unless cfg.fault_plan non-empty).
-  std::uint64_t faults_fired = 0;
-  std::uint64_t radio_corrupted = 0;
-  std::uint64_t radio_partition_blocked = 0;
-  /// Invariant-monitor accounting (zeros unless invariant_interval > 0).
-  std::uint64_t invariant_checks = 0;
-  std::uint64_t invariant_violations = 0;
-};
+using SimRunResult = RunResult;
 
-class GridSimHarness {
+class GridSimHarness final : public ProtocolHarness {
  public:
   /// Shared static field knowledge handed to every simulated node
   /// (defined in the .cpp; opaque to API users).
   struct Shared;
 
   explicit GridSimHarness(SimRunConfig cfg);
-  ~GridSimHarness();
 
-  GridSimHarness(const GridSimHarness&) = delete;
-  GridSimHarness& operator=(const GridSimHarness&) = delete;
-
-  sim::World& world() noexcept { return *world_; }
-  coverage::CoverageMap& map() noexcept { return *map_; }
-  /// The convergence timeline (empty unless cfg.timeline_interval > 0).
-  sim::Timeline& timeline() noexcept { return timeline_; }
-  /// The field recorder, or nullptr when field recording is off.
-  coverage::FieldRecorder* field() noexcept { return field_.get(); }
-  /// The placement audit log (empty unless cfg.audit / cfg.audit_jsonl).
-  sim::AuditLog& audit() noexcept { return audit_; }
-  /// The telemetry bus every producer of this harness publishes on.
-  common::TelemetryBus& telemetry() noexcept { return bus_; }
-  /// The periodic metrics snapshotter (inactive unless configured).
-  sim::MetricsSnapshotter& metrics_snapshotter() noexcept {
-    return metrics_snap_;
-  }
   const geom::GridPartition& partition() const noexcept;
-
-  /// Spawns a DECOR node at `pos` (used for initial deployment and by
-  /// leaders for replacements); keeps the ground-truth map in sync.
-  std::uint32_t spawn_node(geom::Point2 pos);
-
-  /// Kills a node and removes its coverage (failure injection).
-  void kill_node(std::uint32_t id);
-
-  /// Reboots a dead node in place with a fresh protocol process
-  /// (amnesia); restores its coverage disc. No-op on an alive node.
-  void reboot_node(std::uint32_t id);
-
-  /// The fault injector, or nullptr when cfg.fault_plan is empty.
-  sim::FaultInjector* injector() noexcept { return injector_.get(); }
-  /// The invariant monitor (inactive unless cfg.invariant_interval > 0).
-  sim::InvariantMonitor& monitor() noexcept { return monitor_; }
 
   /// Chaos: at simulated time `at`, kills the node currently acting as a
   /// cell leader (lowest cell id with an alive leader wins). Victims are
@@ -220,52 +50,21 @@ class GridSimHarness {
   /// No-op if no leader is alive at `at`.
   void schedule_leader_kill(double at);
 
-  /// Chaos: at simulated time `at`, kills `count` uniformly random alive
-  /// nodes (ground-truth map kept in sync, unlike raw World::kill).
-  void schedule_random_kills(double at, std::size_t count);
-
   /// Runs the simulation until full k-coverage or cfg.run_time.
-  SimRunResult run();
+  SimRunResult run() { return run_protocol(); }
 
  private:
-  sim::TimelineSample sample_timeline();
-  void dump_flight_bundle(const std::string& reason,
-                          const std::string& detail);
-  void register_invariants();
+  std::unique_ptr<net::SensorNode> make_node() override;
+  void add_scheme_invariants() override;
+  std::string timeline_leaders() override;
 
-  SimRunConfig cfg_;
-  /// Declared before the producers so sinks outlive nothing that
-  /// publishes into them (producers detach their file sinks themselves;
-  /// destruction order only matters for the bus-owned extra sinks).
-  common::TelemetryBus bus_;
-  /// Bus-owned live stream sink, retained to surface its whole-frame
-  /// drop count (TCP backpressure) as telemetry.dropped_frames.
-  common::FrameStreamSink* telemetry_sink_ = nullptr;
-  std::uint64_t telemetry_dropped_reported_ = 0;
-  std::unique_ptr<sim::World> world_;
-  std::unique_ptr<coverage::CoverageMap> map_;
   std::shared_ptr<Shared> shared_;
-  sim::Timeline timeline_;
-  sim::MetricsSnapshotter metrics_snap_;
-  std::unique_ptr<coverage::FieldRecorder> field_;
-  sim::AuditLog audit_;
-  std::unique_ptr<sim::FaultInjector> injector_;
-  sim::InvariantMonitor monitor_;
   /// First sim time each cell was seen with >1 leader (grace tracking
   /// for the leader-uniqueness invariant; cleared on recovery).
   std::map<std::uint32_t, double> leader_conflict_since_;
-  std::vector<geom::Point2> placements_;
-  std::size_t initial_nodes_ = 0;
-  bool initial_deployed_ = false;
 };
 
 /// One-call convenience wrapper.
 SimRunResult run_grid_decor_sim(const SimRunConfig& cfg);
-
-/// OTLP span name for a trace record: radio records carry the protocol
-/// message kind as "kind=<int>" in the detail, which maps onto the wire
-/// vocabulary ("msg.placement"); anything else falls back to the trace
-/// kind. Shared by both protocol harnesses.
-std::string otlp_span_name(std::string_view kind, std::string_view detail);
 
 }  // namespace decor::core

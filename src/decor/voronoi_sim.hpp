@@ -9,221 +9,50 @@
 // territory simply by being heard. A harness-level watchdog models the
 // paper's deployment assumption (a human/robot carries starter nodes)
 // when only unowned points — beyond rc of the whole network — remain
-// uncovered.
+// uncovered. Everything else lives in the shared ProtocolHarness core
+// (protocol_harness.hpp).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
-#include "common/telemetry.hpp"
-#include "coverage/coverage_map.hpp"
-#include "coverage/field_recorder.hpp"
-#include "coverage/metrics.hpp"
-#include "decor/params.hpp"
-#include "net/sensor_node.hpp"
-#include "sim/audit_log.hpp"
-#include "sim/fault.hpp"
-#include "sim/invariant_monitor.hpp"
-#include "sim/metrics_snapshot.hpp"
-#include "sim/timeline.hpp"
-#include "sim/world.hpp"
+#include "decor/protocol_harness.hpp"
 
 namespace decor::core {
 
-struct VoronoiSimConfig {
-  DecorParams params;
-  std::vector<geom::Point2> initial_positions;
-  std::uint64_t seed = 1;
-
-  /// Wall limit in simulated seconds.
-  double run_time = 300.0;
-
-  /// When > 0, full k-coverage no longer stops the run immediately: the
-  /// simulation lingers this many extra seconds (capped by run_time) so
-  /// the data plane gets a fixed-length goodput window. finish_time
-  /// still records the convergence instant (see SimRunConfig).
-  double linger_after_coverage = 0.0;
-
+struct VoronoiSimConfig : RunConfig {
   /// Pacing of each node's coverage-check loop.
   double check_interval = 0.5;
 
   /// Simulated seconds without ground-truth progress before the watchdog
   /// seeds the frontier (unowned uncovered points).
   double stall_timeout = 10.0;
-
-  net::HeartbeatParams heartbeat{1.0, 3.5};
-  sim::RadioParams radio{};
-
-  /// ARQ (net::ReliableLink) under kPlacement announcements;
-  /// kHello/kHeartbeat stay best-effort.
-  bool enable_arq = true;
-  net::ReliableLinkParams arq{};
-
-  /// Data-plane workload toward the base station (node 0); off by
-  /// default so control-plane-only trajectories stay byte-identical.
-  net::DataPlaneParams data_plane{};
-
-  /// Tracing (applied to the world's Trace at construction): record
-  /// protocol events, optionally bounded to the `trace_capacity` most
-  /// recent records (0 = unbounded) and/or streamed to `trace_jsonl` as
-  /// one JSON object per line.
-  bool trace = false;
-  std::size_t trace_capacity = 0;
-  std::string trace_jsonl;
-
-  /// Convergence timeline: sample coverage/liveness/ARQ state every
-  /// `timeline_interval` sim-seconds (0 = no timeline), optionally
-  /// streaming decor.timeline.v1 lines to `timeline_jsonl`.
-  double timeline_interval = 0.0;
-  std::string timeline_jsonl;
-
-  /// Spatial field recorder: rasterized k-deficit snapshots every
-  /// `field_interval` sim-seconds (decor.field.v1), with a forced
-  /// snapshot at the convergence instant. Recording is on when either
-  /// field_interval > 0 or `field_jsonl` is set (the interval then
-  /// defaults to 1s); `field_raster` overrides the rs-derived raster
-  /// side (0 = FieldRecorder::default_raster).
-  double field_interval = 0.0;
-  std::string field_jsonl;
-  std::size_t field_raster = 0;
-
-  /// Placement audit log: record every placement decision (in memory;
-  /// tests and reports). `audit_jsonl` additionally streams each record
-  /// as a decor.audit.v1 line and implies `audit`.
-  bool audit = false;
-  std::string audit_jsonl;
-
-  /// Flight recorder: when set, a run that ends without full coverage,
-  /// needs the watchdog, or aborts on an exception dumps trace/timeline/
-  /// metrics into this directory (see sim/flight_recorder.hpp).
-  std::string flight_dir;
-
-  /// Fault campaign (decor.faults.v1); see SimRunConfig::fault_plan. A
-  /// non-empty plan switches the ARQ to purge_on_give_up.
-  sim::FaultPlan fault_plan;
-
-  /// Invariant monitor cadence in sim-seconds (0 = monitor off); see
-  /// SimRunConfig::invariant_interval. The leaderless scheme checks
-  /// coverage consistency, ArqStats conservation and the goodput bound.
-  double invariant_interval = 0.0;
-
-  /// Periodic metrics-registry snapshots (decor.metrics.v1); see
-  /// SimRunConfig::metrics_interval.
-  double metrics_interval = 0.0;
-  std::string metrics_jsonl;
-
-  /// Live telemetry stream target; see SimRunConfig::telemetry_stream.
-  std::string telemetry_stream;
-
-  /// OTLP/JSON export endpoint; see SimRunConfig::otlp.
-  std::string otlp;
-
-  /// Serialize cumulative ARQ sent/retx per timeline sample; see
-  /// SimRunConfig::timeline_arq.
-  bool timeline_arq = false;
 };
 
-struct VoronoiSimResult {
-  std::size_t initial_nodes = 0;
-  std::size_t placed_nodes = 0;
+struct VoronoiSimResult : RunResult {
   /// Nodes the watchdog (robot) had to seed, out of placed_nodes.
   std::size_t seeded_nodes = 0;
-  bool reached_full_coverage = false;
-  double finish_time = 0.0;
-  /// Sim clock when the run actually stopped (== finish_time unless
-  /// linger_after_coverage extended it); goodput denominators use this.
-  double end_time = 0.0;
-  std::uint64_t radio_tx = 0;
-  std::uint64_t radio_rx = 0;
-  /// ARQ accounting, cumulative over the harness lifetime.
-  net::ArqStats arq;
-  /// Data-plane accounting (all zeros unless cfg.data_plane.enabled).
-  net::DataPlaneStats data;
-  coverage::CoverageMetrics metrics;
-  std::vector<geom::Point2> placements;
-  /// Fault-campaign accounting (zeros unless cfg.fault_plan non-empty).
-  std::uint64_t faults_fired = 0;
-  std::uint64_t radio_corrupted = 0;
-  std::uint64_t radio_partition_blocked = 0;
-  /// Invariant-monitor accounting (zeros unless invariant_interval > 0).
-  std::uint64_t invariant_checks = 0;
-  std::uint64_t invariant_violations = 0;
 };
 
-class VoronoiSimHarness {
+class VoronoiSimHarness final : public ProtocolHarness {
  public:
   struct Shared;
 
   explicit VoronoiSimHarness(VoronoiSimConfig cfg);
-  ~VoronoiSimHarness();
-
-  VoronoiSimHarness(const VoronoiSimHarness&) = delete;
-  VoronoiSimHarness& operator=(const VoronoiSimHarness&) = delete;
-
-  sim::World& world() noexcept { return *world_; }
-  coverage::CoverageMap& map() noexcept { return *map_; }
-  /// The convergence timeline (empty unless cfg.timeline_interval > 0).
-  sim::Timeline& timeline() noexcept { return timeline_; }
-  /// The field recorder, or nullptr when field recording is off.
-  coverage::FieldRecorder* field() noexcept { return field_.get(); }
-  /// The placement audit log (empty unless cfg.audit / cfg.audit_jsonl).
-  sim::AuditLog& audit() noexcept { return audit_; }
-  /// The telemetry bus every producer of this harness publishes on.
-  common::TelemetryBus& telemetry() noexcept { return bus_; }
-  /// The periodic metrics snapshotter (inactive unless configured).
-  sim::MetricsSnapshotter& metrics_snapshotter() noexcept {
-    return metrics_snap_;
-  }
-
-  std::uint32_t spawn_node(geom::Point2 pos);
-  void kill_node(std::uint32_t id);
-
-  /// Reboots a dead node in place with a fresh protocol process
-  /// (amnesia); restores its coverage disc. No-op on an alive node.
-  void reboot_node(std::uint32_t id);
-
-  /// The fault injector, or nullptr when cfg.fault_plan is empty.
-  sim::FaultInjector* injector() noexcept { return injector_.get(); }
-  /// The invariant monitor (inactive unless cfg.invariant_interval > 0).
-  sim::InvariantMonitor& monitor() noexcept { return monitor_; }
-
-  /// Chaos: at simulated time `at`, kills `count` uniformly random alive
-  /// nodes (ground-truth map kept in sync, unlike raw World::kill).
-  void schedule_random_kills(double at, std::size_t count);
 
   /// Runs until full k-coverage or cfg.run_time; callable repeatedly
   /// (failure injection between calls resumes the protocol).
   VoronoiSimResult run();
 
  private:
+  std::unique_ptr<net::SensorNode> make_node() override;
+  std::function<void()> make_stall_check() override;
   void watchdog_seed();
-  sim::TimelineSample sample_timeline();
-  void dump_flight_bundle(const std::string& reason,
-                          const std::string& detail);
-  void register_invariants();
 
-  VoronoiSimConfig cfg_;
-  /// Declared before the producers; see GridSimHarness::bus_.
-  common::TelemetryBus bus_;
-  /// See GridSimHarness::telemetry_sink_.
-  common::FrameStreamSink* telemetry_sink_ = nullptr;
-  std::uint64_t telemetry_dropped_reported_ = 0;
-  std::unique_ptr<sim::World> world_;
-  std::unique_ptr<coverage::CoverageMap> map_;
   std::shared_ptr<Shared> shared_;
-  sim::Timeline timeline_;
-  sim::MetricsSnapshotter metrics_snap_;
-  std::unique_ptr<coverage::FieldRecorder> field_;
-  sim::AuditLog audit_;
-  std::unique_ptr<sim::FaultInjector> injector_;
-  sim::InvariantMonitor monitor_;
-  std::vector<geom::Point2> placements_;
+  double stall_timeout_;
   std::size_t seeded_ = 0;
-  std::size_t initial_nodes_ = 0;
-  bool initial_deployed_ = false;
 };
 
 VoronoiSimResult run_voronoi_decor_sim(const VoronoiSimConfig& cfg);

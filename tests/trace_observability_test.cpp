@@ -276,47 +276,86 @@ TEST(TraceExport, ChromeTraceSpansThreadAcrossNodeTracks) {
 
 // --- flight recorder -------------------------------------------------------
 
-TEST(FlightRecorder, BundleOnForcedNonConvergence) {
-  const std::string dir = testing::TempDir() + "/decor_flight_test";
-  std::filesystem::remove_all(dir);
-  auto cfg = grid_small(5);
-  cfg.trace = true;
-  cfg.trace_capacity = 512;
-  cfg.timeline_interval = 0.5;
-  cfg.flight_dir = dir;
-  cfg.run_time = 2.0;  // far too short: forced non-convergence
-  GridSimHarness harness(cfg);
-  const auto result = harness.run();
-  ASSERT_FALSE(result.reached_full_coverage);
-
-  for (const char* name :
-       {"manifest.json", "trace.jsonl", "timeline.jsonl", "metrics.json"}) {
-    const auto p = std::filesystem::path(dir) / name;
-    ASSERT_TRUE(std::filesystem::exists(p)) << name;
-    EXPECT_GT(std::filesystem::file_size(p), 0u) << name;
-  }
-  std::ifstream mf(std::filesystem::path(dir) / "manifest.json");
+std::string read_file(const std::filesystem::path& p) {
+  std::ifstream f(p);
   std::stringstream ss;
-  ss << mf.rdbuf();
-  const std::string manifest = ss.str();
-  EXPECT_NE(manifest.find("decor.flight.v1"), std::string::npos);
-  EXPECT_NE(manifest.find("non-convergence"), std::string::npos);
-  EXPECT_NE(manifest.find("\"git_sha\""), std::string::npos);
+  ss << f.rdbuf();
+  return ss.str();
+}
 
-  // The bundled trace must be readable record-by-record with seqs intact.
-  std::ifstream tf(std::filesystem::path(dir) / "trace.jsonl");
-  std::string line;
-  std::uint64_t last_seq = 0, lines = 0;
-  while (std::getline(tf, line)) {
-    const auto p = line.find("\"seq\":");
-    ASSERT_NE(p, std::string::npos);
-    const auto seq = std::strtoull(line.c_str() + p + 6, nullptr, 10);
-    EXPECT_GT(seq, last_seq);
-    last_seq = seq;
-    ++lines;
+TEST(FlightRecorder, BundleOnForcedNonConvergence) {
+  // Both schemes dump through the one harness core; the manifest tags
+  // each bundle with the scheme that wrote it.
+  for (const std::string scheme : {"grid", "voronoi"}) {
+    SCOPED_TRACE(scheme);
+    const std::string dir =
+        testing::TempDir() + "/decor_flight_test_" + scheme;
+    std::filesystem::remove_all(dir);
+    auto cfg = grid_small(5);
+    cfg.trace = true;
+    cfg.trace_capacity = 512;
+    cfg.timeline_interval = 0.5;
+    cfg.flight_dir = dir;
+    cfg.run_time = 2.0;  // far too short: forced non-convergence
+    bool covered = true;
+    if (scheme == "grid") {
+      GridSimHarness harness(cfg);
+      covered = harness.run().reached_full_coverage;
+    } else {
+      core::VoronoiSimHarness harness(core::VoronoiSimConfig{cfg});
+      covered = harness.run().reached_full_coverage;
+    }
+    ASSERT_FALSE(covered);
+
+    for (const char* name :
+         {"manifest.json", "trace.jsonl", "timeline.jsonl", "metrics.json"}) {
+      const auto p = std::filesystem::path(dir) / name;
+      ASSERT_TRUE(std::filesystem::exists(p)) << name;
+      EXPECT_GT(std::filesystem::file_size(p), 0u) << name;
+    }
+    const std::string manifest =
+        read_file(std::filesystem::path(dir) / "manifest.json");
+    EXPECT_NE(manifest.find("decor.flight.v1"), std::string::npos);
+    EXPECT_NE(manifest.find("non-convergence"), std::string::npos);
+    EXPECT_NE(manifest.find("\"scheme\":\"" + scheme + "\""),
+              std::string::npos);
+    EXPECT_NE(manifest.find("\"git_sha\""), std::string::npos);
+
+    // The bundled trace must be readable record-by-record with seqs
+    // intact.
+    std::ifstream tf(std::filesystem::path(dir) / "trace.jsonl");
+    std::string line;
+    std::uint64_t last_seq = 0, lines = 0;
+    while (std::getline(tf, line)) {
+      const auto p = line.find("\"seq\":");
+      ASSERT_NE(p, std::string::npos);
+      const auto seq = std::strtoull(line.c_str() + p + 6, nullptr, 10);
+      EXPECT_GT(seq, last_seq);
+      last_seq = seq;
+      ++lines;
+    }
+    EXPECT_GT(lines, 0u);
+    EXPECT_LE(lines, 512u) << "bundle dumps the bounded ring, not the run";
   }
-  EXPECT_GT(lines, 0u);
-  EXPECT_LE(lines, 512u) << "bundle dumps the bounded ring, not the run";
+}
+
+TEST(FlightRecorder, BundleOnVoronoiWatchdog) {
+  // From an empty field only the watchdog (the paper's robot) can make
+  // progress; the stall it answers is dumped as evidence.
+  const std::string dir = testing::TempDir() + "/decor_flight_watchdog";
+  std::filesystem::remove_all(dir);
+  core::VoronoiSimConfig cfg{grid_small(5)};
+  cfg.initial_positions.clear();
+  cfg.flight_dir = dir;
+  core::VoronoiSimHarness harness(cfg);
+  const auto result = harness.run();
+  ASSERT_TRUE(result.reached_full_coverage);
+  ASSERT_GE(result.seeded_nodes, 1u);
+  const std::string manifest =
+      read_file(std::filesystem::path(dir) / "manifest.json");
+  EXPECT_NE(manifest.find("\"reason\":\"watchdog\""), std::string::npos)
+      << manifest;
+  EXPECT_NE(manifest.find("\"scheme\":\"voronoi\""), std::string::npos);
 }
 
 // --- profiling -------------------------------------------------------------

@@ -24,11 +24,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -139,6 +141,23 @@ class CliReport {
   std::vector<Entry> entries_;
 };
 
+/// The value of --<key> (`fallback` when absent), which must be one of
+/// `valid`: an unknown value is an error naming the valid ones, never a
+/// silent fallback to the default.
+std::string option_choice(const common::Options& opts, const std::string& key,
+                          const std::string& fallback,
+                          std::initializer_list<const char*> valid) {
+  const std::string value = opts.get(key, fallback);
+  std::string names;
+  for (const char* name : valid) {
+    if (value == name) return value;
+    if (!names.empty()) names += ", ";
+    names += name;
+  }
+  throw std::invalid_argument("unknown --" + key + "=" + value +
+                              " (valid: " + names + ")");
+}
+
 core::DecorParams params_from(const common::Options& opts) {
   core::DecorParams p;
   const double side = opts.get_double("side", 100.0);
@@ -151,7 +170,9 @@ core::DecorParams params_from(const common::Options& opts) {
   // --shards=N tiles the field for the sharded BenefitIndex; 0 = one
   // shard per hardware thread. Placements are identical for every value.
   p.shards = static_cast<std::size_t>(opts.get_int("shards", 1));
-  const std::string kind = opts.get("point-kind", "halton");
+  const std::string kind = option_choice(
+      opts, "point-kind", "halton",
+      {"halton", "hammersley", "random", "jittered"});
   if (kind == "hammersley") p.point_kind = core::PointKind::kHammersley;
   if (kind == "random") p.point_kind = core::PointKind::kRandom;
   if (kind == "jittered") p.point_kind = core::PointKind::kJittered;
@@ -159,7 +180,8 @@ core::DecorParams params_from(const common::Options& opts) {
 }
 
 core::Scheme scheme_from(const common::Options& opts) {
-  const std::string s = opts.get("scheme", "grid");
+  const std::string s = option_choice(
+      opts, "scheme", "grid", {"grid", "voronoi", "centralized", "random"});
   if (s == "centralized") return core::Scheme::kCentralized;
   if (s == "random") return core::Scheme::kRandom;
   if (s == "voronoi") return core::Scheme::kVoronoi;
@@ -345,37 +367,41 @@ void report_timeline(const sim::Timeline& timeline, CliReport& rep) {
 }
 
 int cmd_sim(const common::Options& opts, CliReport& rep) {
-  const auto params = params_from(opts);
-  common::Rng rng(static_cast<std::uint64_t>(opts.get_int("seed", 1)));
-  const auto initial = lds::random_points(
-      params.field, static_cast<std::size_t>(opts.get_int("initial", 20)),
-      rng);
-  const double run_time = opts.get_double("run-time", 300.0);
-  // Trace plumbing shared by both schemes: --trace records protocol
-  // events in memory (bounded by --trace-cap), --trace-jsonl streams
-  // every record to a file, --trace-perfetto renders the buffer as a
-  // Perfetto/chrome://tracing file after the run (implies --trace).
+  const std::string scheme =
+      option_choice(opts, "scheme", "grid", {"grid", "voronoi"});
+  core::RunConfig cfg;
+  cfg.params = params_from(opts);
+  cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  common::Rng rng(cfg.seed);
+  cfg.initial_positions = lds::random_points(
+      cfg.params.field,
+      static_cast<std::size_t>(opts.get_int("initial", 20)), rng);
+  cfg.run_time = opts.get_double("run-time", 300.0);
+  // Trace plumbing: --trace records protocol events in memory (bounded
+  // by --trace-cap), --trace-jsonl streams every record to a file,
+  // --trace-perfetto renders the buffer as a Perfetto/chrome://tracing
+  // file after the run (implies --trace).
   const std::string trace_perfetto = opts.get("trace-perfetto", "");
-  const bool trace = opts.get_bool("trace", false) || !trace_perfetto.empty();
-  const auto trace_cap =
+  cfg.trace = opts.get_bool("trace", false) || !trace_perfetto.empty();
+  cfg.trace_capacity =
       static_cast<std::size_t>(opts.get_int("trace-cap", 0));
-  const std::string trace_jsonl = opts.get("trace-jsonl", "");
+  cfg.trace_jsonl = opts.get("trace-jsonl", "");
   // Observability: --timeline=T samples the convergence timeline every T
   // sim-seconds (--timeline-jsonl streams it), --flight-dir arms the
   // flight recorder, --profile turns on the wall-clock scope timers.
-  const double timeline_interval = opts.get_double("timeline", 0.0);
-  const std::string timeline_jsonl = opts.get("timeline-jsonl", "");
-  const std::string flight_dir = opts.get("flight-dir", "");
+  cfg.timeline_interval = opts.get_double("timeline", 0.0);
+  cfg.timeline_jsonl = opts.get("timeline-jsonl", "");
+  cfg.flight_dir = opts.get("flight-dir", "");
   // Spatial observability: --field=T snapshots the k-deficit raster every
   // T sim-seconds (--field-jsonl streams decor.field.v1, --field-raster
   // overrides the cell count), --audit-jsonl streams every placement
   // decision as decor.audit.v1 (--audit records them in memory only).
-  const double field_interval = opts.get_double("field", 0.0);
-  const std::string field_jsonl = opts.get("field-jsonl", "");
-  const auto field_raster =
+  cfg.field_interval = opts.get_double("field", 0.0);
+  cfg.field_jsonl = opts.get("field-jsonl", "");
+  cfg.field_raster =
       static_cast<std::size_t>(opts.get_int("field-raster", 0));
-  const bool audit_on = opts.get_bool("audit", false);
-  const std::string audit_jsonl = opts.get("audit-jsonl", "");
+  cfg.audit = opts.get_bool("audit", false);
+  cfg.audit_jsonl = opts.get("audit-jsonl", "");
   // Streaming telemetry: --metrics[=T] snapshots the metrics registry
   // every T sim-seconds as decor.metrics.v1 (--metrics-jsonl streams it
   // and, alone, rides the timeline cadence), --telemetry frames the
@@ -384,18 +410,20 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
   // OTLP/JSON document (file path or http://host:port; implies
   // --trace), --timeline-arq adds cumulative ARQ sent/retx counters to
   // every timeline sample.
-  double metrics_interval = opts.get_double("metrics", 0.0);
-  const std::string metrics_jsonl = opts.get("metrics-jsonl", "");
-  if (metrics_interval <= 0.0 && opts.has("metrics")) {
-    metrics_interval = timeline_interval > 0.0 ? timeline_interval : 1.0;
+  cfg.metrics_interval = opts.get_double("metrics", 0.0);
+  cfg.metrics_jsonl = opts.get("metrics-jsonl", "");
+  if (cfg.metrics_interval <= 0.0 && opts.has("metrics")) {
+    cfg.metrics_interval =
+        cfg.timeline_interval > 0.0 ? cfg.timeline_interval : 1.0;
   }
-  const std::string telemetry_stream = opts.get("telemetry", "");
-  const std::string otlp = opts.get("otlp", "");
-  const bool timeline_arq = opts.get_bool("timeline-arq", false);
+  cfg.telemetry_stream = opts.get("telemetry", "");
+  cfg.otlp = opts.get("otlp", "");
+  cfg.timeline_arq = opts.get_bool("timeline-arq", false);
   // Snapshots sample the global registry, so asking for them turns the
   // registry on even without --json (which enables it in main()).
-  if ((metrics_interval > 0.0 || !metrics_jsonl.empty()) &&
-      !common::metrics_enabled()) {
+  const bool metrics_on =
+      cfg.metrics_interval > 0.0 || !cfg.metrics_jsonl.empty();
+  if (metrics_on && !common::metrics_enabled()) {
     common::metrics().reset();
     common::metrics().enable(true);
   }
@@ -406,19 +434,17 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
   // that simulated time).
   const double loss = opts.get_double("loss", 0.0);
   const double burst = opts.get_double("burst", 0.0);
-  sim::RadioParams radio;
   if (burst > 1.0) {
-    radio.propagation = std::make_shared<sim::GilbertElliottModel>(
+    cfg.radio.propagation = std::make_shared<sim::GilbertElliottModel>(
         sim::GilbertElliottModel::from_loss_and_burst(loss, burst));
   } else {
-    radio.loss_prob = loss;
+    cfg.radio.loss_prob = loss;
   }
   const double kill_leader_at = opts.get_double("kill-leader-at", -1.0);
   // Fault campaigns: --fault-plan=FILE arms a decor.faults.v1 plan
   // (reboots, partitions, frame corruption, sink outages) on the run;
   // --invariants=T samples the live safety checks every T sim-seconds
   // (plain --invariants selects the 0.5s default cadence).
-  sim::FaultPlan fault_plan;
   const std::string fault_plan_path = opts.get("fault-plan", "");
   if (!fault_plan_path.empty()) {
     std::string error;
@@ -428,160 +454,60 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
                 << "': " << error << "\n";
       return 1;
     }
-    fault_plan = std::move(*plan);
+    cfg.fault_plan = std::move(*plan);
   }
-  double invariant_interval = opts.get_double("invariants", 0.0);
-  if (invariant_interval <= 0.0 && opts.has("invariants")) {
-    invariant_interval = 0.5;
+  cfg.invariant_interval = opts.get_double("invariants", 0.0);
+  if (cfg.invariant_interval <= 0.0 && opts.has("invariants")) {
+    cfg.invariant_interval = 0.5;
   }
   // Transport + data-plane knobs: --window sets the ARQ sliding-window
   // size (1 = historical stop-and-wait), --load > 0 enables the sensing
   // workload at that many readings/s per node, streamed to the base
   // station (node 0); --bitrate models airtime so concurrent frames can
   // collide (0 = infinitely fast channel, the historical default).
-  net::ReliableLinkParams arq;
-  arq.window = static_cast<std::uint32_t>(opts.get_int("window", 1));
+  cfg.arq.window = static_cast<std::uint32_t>(opts.get_int("window", 1));
   const double load = opts.get_double("load", 0.0);
-  net::DataPlaneParams data_plane;
   if (load > 0.0) {
-    data_plane.enabled = true;
-    data_plane.reading_interval = 1.0 / load;
+    cfg.data_plane.enabled = true;
+    cfg.data_plane.reading_interval = 1.0 / load;
   }
-  radio.bitrate_bps = opts.get_double("bitrate", 0.0);
+  cfg.radio.bitrate_bps = opts.get_double("bitrate", 0.0);
   // --linger keeps the sim alive that many seconds past convergence so
   // data-plane goodput is measured over a fixed horizon.
-  const double linger = opts.get_double("linger", 0.0);
-  const std::string s = opts.get("scheme", "grid");
-  rep.add("scheme", s);
+  cfg.linger_after_coverage = opts.get_double("linger", 0.0);
+  rep.add("scheme", scheme);
   rep.add("loss", loss);
   rep.add("burst", burst);
-  rep.add("window", static_cast<std::uint64_t>(arq.window));
+  rep.add("window", static_cast<std::uint64_t>(cfg.arq.window));
   rep.add("load", load);
-  if (s == "voronoi") {
+  const bool voronoi = scheme == "voronoi";
+  std::unique_ptr<core::ProtocolHarness> harness;
+  core::RunResult r;
+  std::size_t seeded = 0;
+  if (voronoi) {
     if (kill_leader_at >= 0.0) {
       std::cerr << "warning: --kill-leader-at ignored (the voronoi "
                    "scheme is leaderless)\n";
     }
-    core::VoronoiSimConfig cfg;
-    cfg.params = params;
-    cfg.initial_positions = initial;
-    cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-    cfg.run_time = run_time;
-    cfg.linger_after_coverage = linger;
-    cfg.radio = radio;
-    cfg.arq = arq;
-    cfg.data_plane = data_plane;
-    cfg.trace = trace;
-    cfg.trace_capacity = trace_cap;
-    cfg.trace_jsonl = trace_jsonl;
-    cfg.timeline_interval = timeline_interval;
-    cfg.timeline_jsonl = timeline_jsonl;
-    cfg.flight_dir = flight_dir;
-    cfg.field_interval = field_interval;
-    cfg.field_jsonl = field_jsonl;
-    cfg.field_raster = field_raster;
-    cfg.audit = audit_on;
-    cfg.audit_jsonl = audit_jsonl;
-    cfg.fault_plan = fault_plan;
-    cfg.invariant_interval = invariant_interval;
-    cfg.metrics_interval = metrics_interval;
-    cfg.metrics_jsonl = metrics_jsonl;
-    cfg.telemetry_stream = telemetry_stream;
-    cfg.otlp = otlp;
-    cfg.timeline_arq = timeline_arq;
-    core::VoronoiSimHarness harness(cfg);
-    const auto r = harness.run();
-    std::cout << "voronoi sim: placed " << r.placed_nodes << " (+"
-              << r.seeded_nodes << " seeded), covered="
-              << (r.reached_full_coverage ? "yes" : "no") << " at t="
-              << r.finish_time << "s, radio tx=" << r.radio_tx
-              << ", arq retx=" << r.arq.retx << "\n";
-    rep.add("placed_nodes", static_cast<std::uint64_t>(r.placed_nodes));
-    rep.add("seeded_nodes", static_cast<std::uint64_t>(r.seeded_nodes));
-    rep.add("full_coverage", r.reached_full_coverage);
-    rep.add("finish_time", r.finish_time);
-    rep.add("end_time", r.end_time);
-    rep.add("radio_tx", r.radio_tx);
-    rep.add("radio_rx", r.radio_rx);
-    rep.add("arq_sent", r.arq.sent);
-    rep.add("arq_best_effort", r.arq.best_effort);
-    rep.add("arq_retx", r.arq.retx);
-    rep.add("arq_gave_up", r.arq.gave_up);
-    if (data_plane.enabled) {
-      rep.add("readings_delivered", r.data.readings_delivered);
-      rep.add("readings_originated", r.data.readings_originated);
-      rep.add("goodput_bytes_per_s",
-              r.end_time > 0.0
-                  ? static_cast<double>(r.data.bytes_delivered) /
-                        r.end_time
-                  : 0.0);
-    }
-    if (!fault_plan.empty()) {
-      rep.add("faults_fired", r.faults_fired);
-      rep.add("radio_corrupted", r.radio_corrupted);
-      rep.add("radio_partition_blocked", r.radio_partition_blocked);
-    }
-    if (invariant_interval > 0.0) {
-      rep.add("invariant_checks", r.invariant_checks);
-      rep.add("invariant_violations", r.invariant_violations);
-    }
-    if (timeline_interval > 0.0) report_timeline(harness.timeline(), rep);
-    if (harness.field() != nullptr) {
-      rep.add("field_snapshots", static_cast<std::uint64_t>(
-                                     harness.field()->snapshots().size()));
-    }
-    if (audit_on || !audit_jsonl.empty()) {
-      rep.add("audit_records", static_cast<std::uint64_t>(
-                                   harness.audit().records().size()));
-    }
-    if (metrics_interval > 0.0 || !metrics_jsonl.empty()) {
-      rep.add("metrics_snapshots",
-              harness.metrics_snapshotter().snapshots_taken());
-    }
-    if (!telemetry_stream.empty() || !otlp.empty()) {
-      rep.add("telemetry_events", harness.telemetry().events_published());
-    }
-    if (!trace_perfetto.empty() &&
-        !export_perfetto(trace_perfetto, harness.world().trace())) {
-      return 1;
-    }
-    return r.reached_full_coverage ? 0 : 2;
+    auto h = std::make_unique<core::VoronoiSimHarness>(
+        core::VoronoiSimConfig{cfg});
+    const auto vr = h->run();
+    r = vr;
+    seeded = vr.seeded_nodes;
+    harness = std::move(h);
+  } else {
+    auto h = std::make_unique<core::GridSimHarness>(core::SimRunConfig{cfg});
+    if (kill_leader_at >= 0.0) h->schedule_leader_kill(kill_leader_at);
+    r = h->run();
+    harness = std::move(h);
   }
-  core::SimRunConfig cfg;
-  cfg.params = params;
-  cfg.initial_positions = initial;
-  cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  cfg.run_time = run_time;
-  cfg.linger_after_coverage = linger;
-  cfg.radio = radio;
-  cfg.arq = arq;
-  cfg.data_plane = data_plane;
-  cfg.trace = trace;
-  cfg.trace_capacity = trace_cap;
-  cfg.trace_jsonl = trace_jsonl;
-  cfg.timeline_interval = timeline_interval;
-  cfg.timeline_jsonl = timeline_jsonl;
-  cfg.flight_dir = flight_dir;
-  cfg.field_interval = field_interval;
-  cfg.field_jsonl = field_jsonl;
-  cfg.field_raster = field_raster;
-  cfg.audit = audit_on;
-  cfg.audit_jsonl = audit_jsonl;
-  cfg.fault_plan = fault_plan;
-  cfg.invariant_interval = invariant_interval;
-  cfg.metrics_interval = metrics_interval;
-  cfg.metrics_jsonl = metrics_jsonl;
-  cfg.telemetry_stream = telemetry_stream;
-  cfg.otlp = otlp;
-  cfg.timeline_arq = timeline_arq;
-  core::GridSimHarness harness(cfg);
-  if (kill_leader_at >= 0.0) harness.schedule_leader_kill(kill_leader_at);
-  const auto r = harness.run();
-  std::cout << "grid sim: placed " << r.placed_nodes << ", covered="
-            << (r.reached_full_coverage ? "yes" : "no") << " at t="
-            << r.finish_time << "s, radio tx=" << r.radio_tx
+  std::cout << scheme << " sim: placed " << r.placed_nodes;
+  if (voronoi) std::cout << " (+" << seeded << " seeded)";
+  std::cout << ", covered=" << (r.reached_full_coverage ? "yes" : "no")
+            << " at t=" << r.finish_time << "s, radio tx=" << r.radio_tx
             << ", arq retx=" << r.arq.retx << "\n";
   rep.add("placed_nodes", static_cast<std::uint64_t>(r.placed_nodes));
+  if (voronoi) rep.add("seeded_nodes", static_cast<std::uint64_t>(seeded));
   rep.add("full_coverage", r.reached_full_coverage);
   rep.add("finish_time", r.finish_time);
   rep.add("end_time", r.end_time);
@@ -591,7 +517,7 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
   rep.add("arq_best_effort", r.arq.best_effort);
   rep.add("arq_retx", r.arq.retx);
   rep.add("arq_gave_up", r.arq.gave_up);
-  if (data_plane.enabled) {
+  if (cfg.data_plane.enabled) {
     rep.add("readings_delivered", r.data.readings_delivered);
     rep.add("readings_originated", r.data.readings_originated);
     rep.add("goodput_bytes_per_s",
@@ -599,33 +525,33 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
                 ? static_cast<double>(r.data.bytes_delivered) / r.end_time
                 : 0.0);
   }
-  if (!fault_plan.empty()) {
+  if (!cfg.fault_plan.empty()) {
     rep.add("faults_fired", r.faults_fired);
     rep.add("radio_corrupted", r.radio_corrupted);
     rep.add("radio_partition_blocked", r.radio_partition_blocked);
   }
-  if (invariant_interval > 0.0) {
+  if (cfg.invariant_interval > 0.0) {
     rep.add("invariant_checks", r.invariant_checks);
     rep.add("invariant_violations", r.invariant_violations);
   }
-  if (timeline_interval > 0.0) report_timeline(harness.timeline(), rep);
-  if (harness.field() != nullptr) {
+  if (cfg.timeline_interval > 0.0) report_timeline(harness->timeline(), rep);
+  if (harness->field() != nullptr) {
     rep.add("field_snapshots", static_cast<std::uint64_t>(
-                                   harness.field()->snapshots().size()));
+                                   harness->field()->snapshots().size()));
   }
-  if (audit_on || !audit_jsonl.empty()) {
+  if (cfg.audit || !cfg.audit_jsonl.empty()) {
     rep.add("audit_records", static_cast<std::uint64_t>(
-                                 harness.audit().records().size()));
+                                 harness->audit().records().size()));
   }
-  if (metrics_interval > 0.0 || !metrics_jsonl.empty()) {
+  if (metrics_on) {
     rep.add("metrics_snapshots",
-            harness.metrics_snapshotter().snapshots_taken());
+            harness->metrics_snapshotter().snapshots_taken());
   }
-  if (!telemetry_stream.empty() || !otlp.empty()) {
-    rep.add("telemetry_events", harness.telemetry().events_published());
+  if (!cfg.telemetry_stream.empty() || !cfg.otlp.empty()) {
+    rep.add("telemetry_events", harness->telemetry().events_published());
   }
   if (!trace_perfetto.empty() &&
-      !export_perfetto(trace_perfetto, harness.world().trace())) {
+      !export_perfetto(trace_perfetto, harness->world().trace())) {
     return 1;
   }
   return r.reached_full_coverage ? 0 : 2;
