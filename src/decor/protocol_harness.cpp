@@ -57,9 +57,7 @@ ProtocolHarness::ProtocolHarness(RunConfig cfg, double radio_range,
   }
   if (!cfg_.otlp.empty()) {
     auto otlp = std::make_unique<common::OtlpSink>(cfg_.otlp);
-    otlp->set_span_namer([](std::string_view kind, std::string_view detail) {
-      return otlp_span_name(kind, detail);
-    });
+    otlp->set_span_namer(otlp_span_name);
     bus_.add_sink(std::move(otlp));
     // Spans are built from trace causality ids, so the exporter implies
     // trace recording even when --trace was not given.
