@@ -5,7 +5,7 @@
 #include <map>
 #include <numbers>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "coverage/benefit_index.hpp"
 #include "decor/protocol_node.hpp"
@@ -65,6 +65,9 @@ class DecorGridSimNode final : public net::SensorNode {
 
   void on_start() override {
     cell_ = static_cast<std::uint32_t>(shared_->partition.cell_of(pos()));
+    for (std::size_t c : shared_->partition.neighbors_of(cell_)) {
+      adjacent_.push_back({static_cast<std::uint32_t>(c)});
+    }
     net::SensorNode::on_start();
     election_ = std::make_unique<net::LeaderElection>(*this, cell_,
                                                       shared_->election);
@@ -175,10 +178,16 @@ class DecorGridSimNode final : public net::SensorNode {
 
  private:
   void note_cell(std::uint32_t cell) {
-    cell_last_heard_[cell] = world().sim().now();
-    // Hearing from a cell re-arms seeding: if the cell later dies again
-    // (a second disaster), it can be re-seeded.
-    seeded_cells_.erase(cell);
+    // Only adjacent cells are ever seeded, so traffic from any other cell
+    // (our own included) leaves nothing to record.
+    for (auto& a : adjacent_) {
+      if (a.cell != cell) continue;
+      a.last_heard = world().sim().now();
+      // Hearing from a cell re-arms seeding: if the cell later dies
+      // again (a second disaster), it can be re-seeded.
+      a.seeded = false;
+      return;
+    }
   }
 
   void became_leader() {
@@ -317,13 +326,11 @@ class DecorGridSimNode final : public net::SensorNode {
       return;
     }
     const sim::Time now = world().sim().now();
-    for (std::size_t nb : shared_->partition.neighbors_of(cell_)) {
-      const auto c = static_cast<std::uint32_t>(nb);
+    for (auto& a : adjacent_) {
+      const std::uint32_t c = a.cell;
       if (shared_->cell_points[c].empty()) continue;
-      if (seeded_cells_.count(c) != 0) continue;
-      const auto it = cell_last_heard_.find(c);
-      const sim::Time last = it == cell_last_heard_.end() ? 0.0 : it->second;
-      if (now - last <= shared_->silence_threshold) continue;
+      if (a.seeded) continue;
+      if (now - a.last_heard <= shared_->silence_threshold) continue;
       // The adjacent cell is silent: deploy a starter node near its
       // center; its heartbeats will stop other leaders from re-seeding.
       const geom::Point2 center = shared_->partition.rect_of(c).center();
@@ -342,7 +349,7 @@ class DecorGridSimNode final : public net::SensorNode {
         }
       }
       if (!found) continue;
-      seeded_cells_.insert(c);
+      a.seeded = true;
       shared_->harness->spawn_node(pos);
       // Cross-cell seed probe: peers must learn the cell was seeded or
       // several leaders seed it concurrently — ARQed like placements.
@@ -368,8 +375,15 @@ class DecorGridSimNode final : public net::SensorNode {
   std::unique_ptr<net::LeaderElection> election_;
   std::unordered_map<PosKey, std::uint32_t, PosKeyHash> notices_;
   std::unordered_map<PosKey, std::uint32_t, PosKeyHash> my_placements_;
-  std::unordered_map<std::uint32_t, sim::Time> cell_last_heard_;
-  std::unordered_set<std::uint32_t> seeded_cells_;
+  /// What seed_check knows of each adjacent cell. One slot per cell of
+  /// neighbors_of(cell_), kept in that order so seeding visits cells in
+  /// the same sequence as the partition lists them.
+  struct AdjacentCell {
+    std::uint32_t cell = 0;
+    sim::Time last_heard = 0.0;  ///< 0 until the cell is first heard
+    bool seeded = false;
+  };
+  std::vector<AdjacentCell> adjacent_;
   bool loop_active_ = false;
   bool seed_loop_active_ = false;
   bool queried_neighbors_ = false;

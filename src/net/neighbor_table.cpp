@@ -4,21 +4,47 @@
 
 namespace decor::net {
 
-void NeighborTable::observe(std::uint32_t id, geom::Point2 pos,
-                            sim::Time now) {
-  auto& e = entries_[id];
-  e.pos = pos;
-  e.last_seen = now;
+namespace {
+
+/// First entry whose id is not below `id` (const or mutable table).
+template <typename Entries>
+auto lower(Entries& entries, std::uint32_t id) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), id,
+      [](const auto& e, std::uint32_t key) { return e.first < key; });
 }
 
-void NeighborTable::forget(std::uint32_t id) { entries_.erase(id); }
+/// The entry for `id`, or end().
+template <typename Entries>
+auto find(Entries& entries, std::uint32_t id) {
+  const auto it = lower(entries, id);
+  return it != entries.end() && it->first == id ? it : entries.end();
+}
+
+}  // namespace
+
+bool NeighborTable::observe(std::uint32_t id, geom::Point2 pos,
+                            sim::Time now) {
+  const auto it = lower(entries_, id);
+  if (it != entries_.end() && it->first == id) {
+    it->second = {pos, now};
+    return false;
+  }
+  entries_.insert(it, {id, {pos, now}});
+  return true;
+}
+
+void NeighborTable::forget(std::uint32_t id) {
+  const auto it = find(entries_, id);
+  if (it != entries_.end()) entries_.erase(it);
+}
 
 bool NeighborTable::knows(std::uint32_t id) const {
-  return entries_.find(id) != entries_.end();
+  return find(entries_, id) != entries_.end();
 }
 
 std::optional<NeighborEntry> NeighborTable::get(std::uint32_t id) const {
-  auto it = entries_.find(id);
+  const auto it = find(entries_, id);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
 }
@@ -28,16 +54,6 @@ std::vector<std::uint32_t> NeighborTable::stale(sim::Time deadline) const {
   for (const auto& [id, e] : entries_) {
     if (e.last_seen < deadline) out.push_back(id);
   }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::pair<std::uint32_t, NeighborEntry>> NeighborTable::snapshot()
-    const {
-  std::vector<std::pair<std::uint32_t, NeighborEntry>> out(entries_.begin(),
-                                                           entries_.end());
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 

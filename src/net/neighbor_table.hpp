@@ -4,11 +4,16 @@
 // heartbeats stop, which is exactly how DECOR detects node failures
 // ("once a node stops receiving such messages from one of its neighbors,
 // this indicates that the neighbor has failed", Section 3.2).
+//
+// Every HELLO and heartbeat a node hears lands here, so the table is one
+// id-sorted vector the node owns: a reception costs one binary search over
+// contiguous memory, and stale()/snapshot() come out id-ascending without
+// sorting.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -23,8 +28,11 @@ struct NeighborEntry {
 
 class NeighborTable {
  public:
-  /// Inserts or refreshes a neighbor.
-  void observe(std::uint32_t id, geom::Point2 pos, sim::Time now);
+  using Entries = std::vector<std::pair<std::uint32_t, NeighborEntry>>;
+
+  /// Inserts or refreshes a neighbor; returns true when `id` was not in
+  /// the table (first contact, or first since forget()).
+  bool observe(std::uint32_t id, geom::Point2 pos, sim::Time now);
 
   /// Removes a neighbor (explicit failure notification).
   void forget(std::uint32_t id);
@@ -33,14 +41,16 @@ class NeighborTable {
   std::optional<NeighborEntry> get(std::uint32_t id) const;
   std::size_t size() const noexcept { return entries_.size(); }
 
-  /// IDs whose last_seen is older than `deadline`; does not remove them.
+  /// IDs whose last_seen is older than `deadline`, id-ascending; does not
+  /// remove them (a copy, so callers may forget() while walking it).
   std::vector<std::uint32_t> stale(sim::Time deadline) const;
 
-  /// All currently known (id, entry) pairs, id-ascending.
-  std::vector<std::pair<std::uint32_t, NeighborEntry>> snapshot() const;
+  /// All currently known (id, entry) pairs, id-ascending. The reference
+  /// is invalidated by the next observe() or forget().
+  const Entries& snapshot() const noexcept { return entries_; }
 
  private:
-  std::unordered_map<std::uint32_t, NeighborEntry> entries_;
+  Entries entries_;
 };
 
 }  // namespace decor::net

@@ -1,5 +1,7 @@
 #include "net/sensor_node.hpp"
 
+#include <algorithm>
+
 #include "sim/world.hpp"
 
 namespace decor::net {
@@ -108,16 +110,18 @@ void SensorNode::broadcast_reliable(sim::Message msg) {
 }
 
 void SensorNode::observe(std::uint32_t from, geom::Point2 p, double boot) {
-  const bool fresh = !table_.knows(from);
-  table_.observe(from, p, world().sim().now());
-  if (detector_) detector_->observe(from, p);
+  const bool fresh = table_.observe(from, p, world().sim().now());
   // Reboot-with-amnesia detection: a later boot stamp on a known peer id
   // means the peer restarted with fresh protocol state. Its new seq
   // space must not be filtered through dedup state of the previous
   // incarnation, and any route through it is stale. Never triggers in
   // reboot-free runs (a given id's boot stamp is constant).
-  const auto [bit, new_peer] = peer_boot_.try_emplace(from, boot);
-  if (!new_peer && boot > bit->second) {
+  const auto bit = std::lower_bound(
+      peer_boot_.begin(), peer_boot_.end(), from,
+      [](const auto& b, std::uint32_t key) { return b.first < key; });
+  if (bit == peer_boot_.end() || bit->first != from) {
+    peer_boot_.insert(bit, {from, boot});
+  } else if (boot > bit->second) {
     bit->second = boot;
     if (link_) link_->forget_peer(from);
     if (data_plane_) data_plane_->on_peer_dead(from);

@@ -6,6 +6,7 @@
 // damaged inputs (trace_id=0 audits, truncated trace rings, dead-leader
 // exchanges that never complete).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -30,6 +31,16 @@ using namespace decor;
 using core::ExplainDoc;
 
 const char* golden_dir() { return EXPLAIN_GOLDEN_DIR "/explain_run"; }
+
+/// A temporary directory only the running test uses: ctest runs every test
+/// as its own process (in parallel under -j, possibly from two build trees
+/// at once), so the name carries the test's name and the process id.
+std::filesystem::path per_test_dir(const std::string& prefix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::filesystem::temp_directory_path() /
+         (prefix + "_" + info->test_suite_name() + "_" + info->name() + "_" +
+          std::to_string(::getpid()));
+}
 
 bool has_warning(const ExplainDoc& doc, const std::string& needle) {
   for (const auto& w : doc.warnings) {
@@ -178,7 +189,7 @@ core::SimRunConfig diff_config(std::uint64_t seed, const std::string& dir) {
 
 TEST(ExplainDiff, LossAttributesToPropagationPhase) {
   namespace fs = std::filesystem;
-  const auto base = fs::temp_directory_path() / "decor_explain_diff";
+  const auto base = per_test_dir("decor_explain_diff");
   const auto clean = base / "clean";
   const auto lossy = base / "lossy";
   fs::remove_all(base);
@@ -226,7 +237,7 @@ TEST(ExplainDiff, IdenticalRunsHaveNoDominantPhase) {
 class SyntheticRunDir : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "decor_explain_synth";
+    dir_ = per_test_dir("decor_explain_synth");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -246,6 +246,34 @@ TEST(ReliableLinkReboot, BootStampDetectsRebootWithoutAnyGiveUp) {
   EXPECT_EQ(pw.na().delivered.size(), 2u);
 }
 
+TEST(ReliableLinkReboot, BootStampOutlivesGiveUpForget) {
+  // purge_on_give_up stays OFF, so giving b up drops it from a's table but
+  // keeps a's dedup state for it. The boot stamp a heard before the give-up
+  // must survive that forget: the rebooted b then comes back as a known
+  // peer with a later boot stamp, not as a stranger.
+  const auto p = reboot_params(/*purge_on_give_up=*/false);
+  auto pw = make_pair_world(p);
+  pw.nb().send_reliable(pw.a, sim::Message::make(pw.b, kTestKind, 0));
+  pw.world->sim().run_until(5.0);
+  ASSERT_EQ(pw.na().delivered.size(), 1u);
+  pw.world->kill(pw.b);
+  pw.na().send_reliable(pw.b, sim::Message::make(pw.a, kTestKind, 0));
+  pw.world->sim().run_until(30.0);
+  ASSERT_GE(pw.stats.gave_up, 1u);
+  ASSERT_FALSE(pw.na().neighbors().knows(pw.b));
+  ASSERT_EQ(pw.na().link()->dedup_entries(pw.b), 1u);
+  pw.world->reboot(pw.b, std::make_unique<TestNode>(p));
+  pw.nb().set_arq_stats(&pw.stats);
+  pw.world->sim().run_until(35.0);  // hello carries boot > 0 -> purge
+  EXPECT_TRUE(pw.na().neighbors().knows(pw.b));
+  EXPECT_EQ(pw.na().link()->dedup_entries(pw.b), 0u);
+  pw.nb().send_reliable(pw.a, sim::Message::make(pw.b, kTestKind, 0));
+  pw.world->sim().run_until(40.0);
+  // The fresh incarnation's seq 1 delivers instead of being swallowed as
+  // a duplicate of the old incarnation's seq 1.
+  EXPECT_EQ(pw.na().delivered.size(), 2u);
+}
+
 // --- runner re-convergence through fault campaigns --------------------------
 
 // Small 20x20 / k=1 scenarios (same shape as chaos_test.cpp).

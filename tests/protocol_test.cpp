@@ -16,7 +16,7 @@ using geom::Point2;
 
 TEST(NeighborTable, ObserveAndGet) {
   NeighborTable t;
-  t.observe(3, {1, 2}, 5.0);
+  EXPECT_TRUE(t.observe(3, {1, 2}, 5.0));  // first sight
   EXPECT_TRUE(t.knows(3));
   EXPECT_FALSE(t.knows(4));
   const auto e = t.get(3);
@@ -27,8 +27,8 @@ TEST(NeighborTable, ObserveAndGet) {
 
 TEST(NeighborTable, ObserveRefreshes) {
   NeighborTable t;
-  t.observe(3, {1, 2}, 5.0);
-  t.observe(3, {1.5, 2}, 9.0);
+  EXPECT_TRUE(t.observe(3, {1, 2}, 5.0));
+  EXPECT_FALSE(t.observe(3, {1.5, 2}, 9.0));  // a refresh is not news
   EXPECT_EQ(t.size(), 1u);
   EXPECT_DOUBLE_EQ(t.get(3)->last_seen, 9.0);
   EXPECT_DOUBLE_EQ(t.get(3)->pos.x, 1.5);
@@ -41,6 +41,9 @@ TEST(NeighborTable, StaleDetection) {
   t.observe(3, {0, 0}, 9.0);
   const auto stale = t.stale(5.0);  // strictly older than deadline
   EXPECT_EQ(stale, (std::vector<std::uint32_t>{1}));
+  // Id-ascending whatever order the ids were inserted in.
+  for (std::uint32_t id : {40u, 7u, 23u, 0u}) t.observe(id, {0, 0}, 2.0);
+  EXPECT_EQ(t.stale(5.0), (std::vector<std::uint32_t>{0, 1, 7, 23, 40}));
 }
 
 TEST(NeighborTable, ForgetRemoves) {
@@ -49,16 +52,31 @@ TEST(NeighborTable, ForgetRemoves) {
   t.forget(1);
   EXPECT_FALSE(t.knows(1));
   t.forget(99);  // no-op
+  // A forgotten id is new again on its next observation.
+  EXPECT_TRUE(t.observe(1, {0, 0}, 2.0));
+  EXPECT_FALSE(t.observe(1, {0, 0}, 3.0));
 }
 
 TEST(NeighborTable, SnapshotSorted) {
   NeighborTable t;
-  t.observe(9, {0, 0}, 1.0);
-  t.observe(2, {0, 0}, 1.0);
+  t.observe(9, {9, 0}, 1.0);
+  t.observe(2, {2, 0}, 1.0);
   const auto snap = t.snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].first, 2u);
   EXPECT_EQ(snap[1].first, 9u);
+  // Still id-ascending, every entry under its own id, after a middle id
+  // is forgotten.
+  for (std::uint32_t id : {30u, 5u, 50u}) {
+    t.observe(id, {static_cast<double>(id), 0}, 1.0);
+  }
+  t.forget(9);
+  std::vector<std::uint32_t> ids;
+  for (const auto& [id, e] : t.snapshot()) {
+    EXPECT_DOUBLE_EQ(e.pos.x, static_cast<double>(id));
+    ids.push_back(id);
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{2, 5, 30, 50}));
 }
 
 // --- SensorNode integration on the simulator -------------------------------
