@@ -34,7 +34,7 @@ void DynamicSensorIndex::insert(std::uint32_t id, Point2 pos) {
   DECOR_REQUIRE_MSG(positions_.find(id) == positions_.end(),
                     "duplicate sensor id in index");
   positions_.emplace(id, pos);
-  cells_[cell_key(pos)].push_back(id);
+  cells_[cell_key(pos)].push_back(Resident{id, pos});
 }
 
 void DynamicSensorIndex::remove(std::uint32_t id) {
@@ -43,7 +43,8 @@ void DynamicSensorIndex::remove(std::uint32_t id) {
   auto cell = cells_.find(cell_key(it->second));
   if (cell != cells_.end()) {
     auto& v = cell->second;
-    v.erase(std::remove(v.begin(), v.end(), id), v.end());
+    v.erase(std::find_if(v.begin(), v.end(),
+                         [id](const Resident& r) { return r.id == id; }));
     if (v.empty()) cells_.erase(cell);
   }
   positions_.erase(it);
@@ -75,9 +76,8 @@ void DynamicSensorIndex::for_each_in_disc(
     for (std::int64_t ix = ix0; ix <= ix1; ++ix) {
       auto cell = cells_.find(pack_cell(ix, iy));
       if (cell == cells_.end()) continue;
-      for (std::uint32_t id : cell->second) {
-        const Point2 pos = positions_.at(id);
-        if (distance_sq(pos, center) <= r2) fn(id, pos);
+      for (const Resident& r : cell->second) {
+        if (distance_sq(r.pos, center) <= r2) fn(r.id, r.pos);
       }
     }
   }

@@ -21,12 +21,13 @@ class DynamicSensorIndex {
   /// `cell_size` should be on the order of the typical query radius.
   DynamicSensorIndex(const Rect& bounds, double cell_size);
 
-  /// Inserts a sensor with caller-chosen unique id. Positions outside the
-  /// bounds are clamped into the boundary cells (sensors may legitimately
-  /// sit on the field border).
+  /// Inserts a sensor with caller-chosen unique id. A position outside the
+  /// bounds is keyed by its own out-of-range cell, not clamped, so sensors
+  /// on (or numerically past) the field border stay queryable.
   void insert(std::uint32_t id, Point2 pos);
 
-  /// Removes a previously inserted sensor; no-op if absent.
+  /// Removes a previously inserted sensor; no-op if absent. The rest of
+  /// its cell keeps its order.
   void remove(std::uint32_t id);
 
   bool contains(std::uint32_t id) const;
@@ -35,23 +36,32 @@ class DynamicSensorIndex {
   /// Position of a sensor; requires that the id is present.
   Point2 position(std::uint32_t id) const;
 
-  /// Invokes fn(id, pos) for every sensor within `radius` of `center`.
+  /// Invokes fn(id, pos) for every sensor within `radius` of `center`:
+  /// cells row-major (y, then x), sensors in insertion order within a
+  /// cell. Callers that draw randomness per hit rely on this order.
   void for_each_in_disc(
       Point2 center, double radius,
       const std::function<void(std::uint32_t, Point2)>& fn) const;
 
-  /// IDs of sensors within `radius` of `center`.
+  /// IDs of sensors within `radius` of `center`, in visiting order.
   std::vector<std::uint32_t> query_disc(Point2 center, double radius) const;
 
   /// Number of sensors within `radius` of `center`.
   std::size_t count_in_disc(Point2 center, double radius) const;
 
  private:
+  /// A cell stores each sensor's position beside its id, so a disc query
+  /// reads both from one array.
+  struct Resident {
+    std::uint32_t id;
+    Point2 pos;
+  };
+
   std::int64_t cell_key(Point2 p) const noexcept;
 
   Rect bounds_;
   double cell_size_;
-  std::unordered_map<std::int64_t, std::vector<std::uint32_t>> cells_;
+  std::unordered_map<std::int64_t, std::vector<Resident>> cells_;
   std::unordered_map<std::uint32_t, Point2> positions_;
 };
 

@@ -3,12 +3,16 @@
 // Determinism matters more than raw speed here — every experiment must be
 // reproducible from its seed — so ties in time are broken by insertion
 // sequence number, never by heap internals.
+//
+// Callbacks live in a slot table recycled through a free list; the binary
+// heap orders small trivially copyable (at, seq, slot) keys. Scheduling
+// and dispatching therefore allocate nothing once the table and heap have
+// grown to the run's peak, unless a callback's captures overflow
+// std::function's inline buffer.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <vector>
 
 namespace decor::sim {
@@ -16,27 +20,42 @@ namespace decor::sim {
 /// Simulated time in seconds.
 using Time = double;
 
-/// Cancellation token for a scheduled event. Cancelled events stay in the
-/// queue but are skipped on pop (lazy deletion).
+class EventQueue;
+
+/// Cancellation token for a scheduled event: the queue slot holding its
+/// callback plus the event's sequence number. cancel() releases the slot
+/// only while it still holds that event, so a handle whose event already
+/// ran — or whose slot now holds a later event — cancels nothing. A
+/// handle points into its queue and must not outlive it.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  void cancel() noexcept {
-    if (cancelled_) *cancelled_ = true;
-  }
-  bool valid() const noexcept { return cancelled_ != nullptr; }
-  bool cancelled() const noexcept { return cancelled_ && *cancelled_; }
+  void cancel() noexcept;
+  bool valid() const noexcept { return queue_ != nullptr; }
+  /// True once cancel() was called on this handle.
+  bool cancelled() const noexcept { return cancelled_; }
 
  private:
   friend class EventQueue;
-  explicit EventHandle(std::shared_ptr<bool> flag)
-      : cancelled_(std::move(flag)) {}
-  std::shared_ptr<bool> cancelled_;
+  EventHandle(EventQueue* queue, std::uint32_t slot, std::uint64_t seq)
+      : queue_(queue), slot_(slot), seq_(seq) {}
+
+  EventQueue* queue_ = nullptr;
+  std::uint32_t slot_ = 0;
+  bool cancelled_ = false;
+  std::uint64_t seq_ = 0;
 };
 
 class EventQueue {
  public:
+  EventQueue() = default;
+  // Handles hold the queue's address.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  EventQueue(EventQueue&&) = delete;
+  EventQueue& operator=(EventQueue&&) = delete;
+
   /// Schedules `fn` at absolute time `at` (must not precede the time of
   /// the last popped event).
   EventHandle schedule(Time at, std::function<void()> fn);
@@ -49,26 +68,45 @@ class EventQueue {
   /// Pops and runs the earliest event; returns its time.
   Time pop_and_run();
 
+  /// Heap keys, including cancelled events not yet skipped.
   std::size_t pending() const noexcept { return heap_.size(); }
   std::uint64_t scheduled_total() const noexcept { return seq_; }
 
  private:
-  struct Entry {
+  friend class EventHandle;
+
+  struct Slot {
+    std::uint64_t seq = 0;
+    bool live = false;
+    std::function<void()> fn;
+  };
+  /// Heap entry; the heap's front is the smallest (at, seq).
+  struct Key {
     Time at;
     std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
 
-  void skip_cancelled();
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  void cancel(std::uint32_t slot, std::uint64_t seq) noexcept;
+  /// Pops keys whose slot no longer holds their event (cancelled).
+  void skip_cancelled() const;
+
+  mutable std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t seq_ = 0;
 };
+
+inline void EventHandle::cancel() noexcept {
+  if (queue_ == nullptr) return;
+  cancelled_ = true;
+  queue_->cancel(slot_, seq_);
+}
 
 }  // namespace decor::sim

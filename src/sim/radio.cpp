@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/metrics.hpp"
+#include "common/require.hpp"
 #include "geometry/point.hpp"
 #include "sim/node.hpp"
 #include "sim/world.hpp"
@@ -39,7 +40,16 @@ common::Gauge& in_flight_gauge() {
 }  // namespace
 
 Radio::Radio(World& world, RadioParams params)
-    : world_(world), params_(std::move(params)) {}
+    : world_(world), params_(std::move(params)) {
+  DECOR_REQUIRE_MSG(params_.latency_base >= 0.0,
+                    "radio latency must be non-negative");
+  DECOR_REQUIRE_MSG(params_.jitter >= 0.0,
+                    "radio jitter must be non-negative");
+  DECOR_REQUIRE_MSG(params_.loss_prob >= 0.0 && params_.loss_prob <= 1.0,
+                    "loss probability must be in [0,1]");
+  DECOR_REQUIRE_MSG(params_.bitrate_bps >= 0.0,
+                    "radio bitrate must be non-negative");
+}
 
 void Radio::note_node(std::uint32_t id) {
   if (id >= tx_.size()) {
@@ -131,69 +141,98 @@ void Radio::deliver_later(std::uint32_t dst, const Message& msg) {
           : 0.0;
   const double end = start + airtime;
 
-  auto corrupted = std::make_shared<bool>(false);
+  std::uint32_t frame;
+  if (free_frames_.empty()) {
+    frame = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    frame = free_frames_.back();
+    free_frames_.pop_back();
+  }
+  InFlight& rec = in_flight_[frame];
+  rec.dst = dst;
+  rec.crc_failed = crc_failed;
+  rec.corrupted = false;
+  rec.msg = msg;
+
   if (params_.bitrate_bps > 0.0) {
     // Receiver-side collision check: overlapping frames destroy each
-    // other. Prune arrivals that finished in the past first.
+    // other. Prune frames that ended by now first. A frame ending at
+    // `now` cannot overlap this one, which starts at or after `now`
+    // (latency >= 0), and every frame left ends after `now`: its
+    // reception event has not run, so its record is still in flight.
+    if (dst >= inbound_.size()) inbound_.resize(dst + 1);
     auto& pending = inbound_[dst];
     const double now = world_.sim().now();
     std::erase_if(pending,
-                  [now](const Pending& p) { return p.end < now; });
-    for (auto& p : pending) {
+                  [now](const Pending& p) { return p.end <= now; });
+    for (const Pending& p : pending) {
       if (start < p.end && p.start < end) {
-        if (!*p.corrupted) {
+        bool& other = in_flight_[p.frame].corrupted;
+        if (!other) {
           ++collisions_;
           collision_counter().inc();
         }
-        *p.corrupted = true;
-        if (!*corrupted) {
+        other = true;
+        if (!rec.corrupted) {
           ++collisions_;
           collision_counter().inc();
         }
-        *corrupted = true;
+        rec.corrupted = true;
       }
     }
-    pending.push_back(Pending{start, end, corrupted});
+    pending.push_back(Pending{start, end, frame});
   }
 
   in_flight_gauge().add(1.0);
-  world_.sim().schedule_at(end, [this, dst, msg, corrupted, crc_failed] {
-    in_flight_gauge().add(-1.0);
-    if (*corrupted) return;  // destroyed by a colliding frame
-    NodeProcess& node = world_.node(dst);
-    if (!node.alive()) return;  // died in flight
-    if (crc_failed) {
-      // The frame reached the receiver (rx energy is spent decoding it)
-      // but fails the checksum: detected, dropped, and counted apart
-      // from in-air loss. It never reaches the protocol layer.
-      ++corrupted_;
-      world_.charge(dst, node.budget_.rx_base_j +
-                             node.budget_.rx_per_byte_j *
-                                 static_cast<double>(msg.size_bytes));
-      if (world_.trace().enabled()) {
-        world_.trace().record(world_.sim().now(), TraceKind::kDrop, dst,
-                              "crc kind=" + std::to_string(msg.kind) +
-                                  " from=" + std::to_string(msg.src),
-                              msg.trace_id);
-      }
-      return;
-    }
-    note_node(dst);
-    ++rx_[dst];
-    ++total_rx_;
-    rx_counter().inc();
+  world_.sim().schedule_at(end, [this, frame] { receive(frame); });
+}
+
+void Radio::receive(std::uint32_t frame) {
+  in_flight_gauge().add(-1.0);
+  // Take the frame out and free its record first: on_message may send,
+  // which can reuse the record or grow the slab.
+  InFlight& rec = in_flight_[frame];
+  const std::uint32_t dst = rec.dst;
+  const bool crc_failed = rec.crc_failed;
+  const bool corrupted = rec.corrupted;
+  const Message msg = std::move(rec.msg);
+  free_frames_.push_back(frame);
+
+  if (corrupted) return;  // destroyed by a colliding frame
+  NodeProcess& node = world_.node(dst);
+  if (!node.alive()) return;  // died in flight
+  if (crc_failed) {
+    // The frame reached the receiver (rx energy is spent decoding it)
+    // but fails the checksum: detected, dropped, and counted apart
+    // from in-air loss. It never reaches the protocol layer.
+    ++corrupted_;
     world_.charge(dst, node.budget_.rx_base_j +
                            node.budget_.rx_per_byte_j *
                                static_cast<double>(msg.size_bytes));
-    if (!node.alive()) return;  // the rx itself drained the battery
     if (world_.trace().enabled()) {
-      world_.trace().record(world_.sim().now(), TraceKind::kRx, dst,
-                            "kind=" + std::to_string(msg.kind) +
+      world_.trace().record(world_.sim().now(), TraceKind::kDrop, dst,
+                            "crc kind=" + std::to_string(msg.kind) +
                                 " from=" + std::to_string(msg.src),
                             msg.trace_id);
     }
-    node.on_message(msg);
-  });
+    return;
+  }
+  note_node(dst);
+  ++rx_[dst];
+  ++total_rx_;
+  rx_counter().inc();
+  world_.charge(dst, node.budget_.rx_base_j +
+                         node.budget_.rx_per_byte_j *
+                             static_cast<double>(msg.size_bytes));
+  if (!node.alive()) return;  // the rx itself drained the battery
+  if (world_.trace().enabled()) {
+    world_.trace().record(world_.sim().now(), TraceKind::kRx, dst,
+                          "kind=" + std::to_string(msg.kind) +
+                              " from=" + std::to_string(msg.src),
+                          msg.trace_id);
+  }
+  node.on_message(msg);
 }
 
 void Radio::broadcast(NodeProcess& src, const Message& msg, double range) {

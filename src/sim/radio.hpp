@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,6 +20,8 @@ namespace decor::sim {
 class World;
 class NodeProcess;
 
+/// Radio's constructor rejects a negative latency, jitter or bit rate and
+/// a loss probability outside [0, 1].
 struct RadioParams {
   /// Fixed per-hop latency (transmission + MAC), seconds.
   double latency_base = 1e-3;
@@ -40,6 +41,10 @@ struct RadioParams {
 class Radio {
  public:
   Radio(World& world, RadioParams params);
+
+  // Scheduled receptions hold the radio's address.
+  Radio(const Radio&) = delete;
+  Radio& operator=(const Radio&) = delete;
 
   /// Delivers `msg` to every alive node (except the sender) within
   /// `range` of the sender, after per-receiver latency.
@@ -92,17 +97,28 @@ class Radio {
   std::uint64_t total_corrupted() const noexcept { return corrupted_; }
 
  private:
-  /// A frame scheduled for reception, for collision bookkeeping.
+  /// A frame between deliver_later and its reception event. Records sit
+  /// in a slab recycled through a free list, so the reception event
+  /// captures only (this, index) and fits std::function's inline buffer.
+  struct InFlight {
+    std::uint32_t dst = 0;
+    bool crc_failed = false;
+    /// Destroyed by an overlapping frame at the receiver.
+    bool corrupted = false;
+    Message msg;
+  };
+  /// A frame's airtime at its receiver, for collision bookkeeping.
   struct Pending {
     double start;
     double end;
-    std::shared_ptr<bool> corrupted;
+    std::uint32_t frame;  // index into in_flight_
   };
 
   bool frame_reaches(const NodeProcess& src, std::uint32_t dst,
                      double range);
   bool pair_cut(std::uint32_t a, std::uint32_t b) const;
   void deliver_later(std::uint32_t dst, const Message& msg);
+  void receive(std::uint32_t frame);
   void charge_tx(NodeProcess& src, const Message& msg);
   void note_node(std::uint32_t id);
 
@@ -119,7 +135,11 @@ class Radio {
   std::vector<std::pair<std::uint64_t, CutPredicate>> cuts_;
   std::vector<std::uint64_t> tx_;
   std::vector<std::uint64_t> rx_;
-  std::unordered_map<std::uint32_t, std::vector<Pending>> inbound_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_frames_;
+  /// Frames whose airtime may still overlap a new arrival, by receiver
+  /// id (bitrate_bps > 0 only).
+  std::vector<std::vector<Pending>> inbound_;
 };
 
 }  // namespace decor::sim

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/require.hpp"
@@ -93,6 +94,66 @@ TEST(EventQueue, PopMovesCallbackOutOfHeap) {
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(copies, copies_after_schedule)
       << "pop_and_run must not copy the scheduled callable";
+}
+
+TEST(EventQueue, StaleHandleCancelsNothing) {
+  // The first event runs and frees its slot; the next schedule reuses
+  // that slot. The old handle still names the slot, but not the event in
+  // it now, so cancelling it must leave the new event alone.
+  EventQueue q;
+  bool first = false;
+  bool second = false;
+  auto stale = q.schedule(1.0, [&] { first = true; });
+  q.pop_and_run();
+  auto fresh = q.schedule(2.0, [&] { second = true; });
+  stale.cancel();
+  EXPECT_TRUE(stale.cancelled());
+  EXPECT_FALSE(fresh.cancelled());
+  ASSERT_FALSE(q.empty());
+  q.pop_and_run();
+  EXPECT_TRUE(first);
+  EXPECT_TRUE(second);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CancelAfterRunAndTwiceIsHarmless) {
+  EventQueue q;
+  int ran = 0;
+  auto done = q.schedule(1.0, [&] { ++ran; });
+  q.pop_and_run();
+  done.cancel();  // its event already ran: no-op
+  EXPECT_EQ(ran, 1);
+
+  std::vector<int> order;
+  auto h = q.schedule(2.0, [&] { order.push_back(2); });
+  q.schedule(3.0, [&] { order.push_back(3); });
+  h.cancel();
+  h.cancel();  // the second cancel finds the slot free
+  q.schedule(4.0, [&] { order.push_back(4); });  // may reuse h's slot
+  h.cancel();  // ... and must not cancel the event now in it
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{3, 4}));
+}
+
+TEST(EventQueue, CallbackGrowingTheSlotTableKeepsOrder) {
+  // One callback schedules 1000 events, so the slot table reallocates
+  // while that callback (already moved out of its slot) is running.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(0.0, [&] {
+    for (int i = 0; i < 1000; ++i) {
+      // Times repeat every 7 events: ties must break by schedule order.
+      q.schedule(1.0 + static_cast<double>((i * 3) % 7),
+                 [&order, i] { order.push_back(i); });
+    }
+  });
+  while (!q.empty()) q.pop_and_run();
+  std::vector<int> expected(1000);
+  for (int i = 0; i < 1000; ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(), [](int a, int b) {
+    return (a * 3) % 7 < (b * 3) % 7;
+  });
+  EXPECT_EQ(order, expected);
 }
 
 TEST(EventQueue, PopOnEmptyThrows) {

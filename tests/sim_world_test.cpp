@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/require.hpp"
 #include "sim/failure.hpp"
 #include "sim/message.hpp"
 #include "sim/node.hpp"
@@ -159,6 +160,32 @@ TEST(World, LossDropsEverythingAtProbabilityOne) {
   world.sim().run();
   EXPECT_TRUE(world.node_as<Probe>(b).received.empty());
   EXPECT_EQ(world.radio().total_dropped(), 1u);
+}
+
+TEST(World, RejectsInvalidRadioParams) {
+  const auto bounds = make_rect(0, 0, 100, 100);
+  const auto build = [&](auto&& tweak) {
+    RadioParams params;
+    tweak(params);
+    World world(bounds, params, 1);
+  };
+  EXPECT_THROW(build([](RadioParams& p) { p.latency_base = -1e-3; }),
+               common::RequireError);
+  EXPECT_THROW(build([](RadioParams& p) { p.jitter = -1e-4; }),
+               common::RequireError);
+  EXPECT_THROW(build([](RadioParams& p) { p.loss_prob = -0.2; }),
+               common::RequireError);
+  EXPECT_THROW(build([](RadioParams& p) { p.loss_prob = 1.5; }),
+               common::RequireError);
+  EXPECT_THROW(build([](RadioParams& p) { p.bitrate_bps = -100.0; }),
+               common::RequireError);
+  // Total loss is a valid channel (LossDropsEverythingAtProbabilityOne).
+  EXPECT_NO_THROW(build([](RadioParams& p) { p.loss_prob = 1.0; }));
+  EXPECT_NO_THROW(build([](RadioParams& p) {
+    p.latency_base = 0.0;
+    p.jitter = 0.0;
+    p.bitrate_bps = 0.0;
+  }));
 }
 
 TEST(World, MessagePayloadRoundTrip) {

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -159,12 +161,24 @@ TEST_P(SensorIndexParam, MatchesBruteForceUnderChurn) {
     if (step % 10 == 0) {
       const Point2 c{rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)};
       const double r = rng.uniform(1.0, 20.0);
-      std::set<std::uint32_t> expect;
+      // Reference visiting order: cells row-major (y, then x), insertion
+      // order within a cell. `live` is in insertion order and removals
+      // keep it so; the stable sort groups it by cell.
+      std::vector<std::pair<std::uint32_t, Point2>> hits;
       for (const auto& [id, p] : live) {
-        if (within(p, c, r)) expect.insert(id);
+        if (within(p, c, r)) hits.emplace_back(id, p);
       }
-      const auto got = idx.query_disc(c, r);
-      EXPECT_EQ(std::set<std::uint32_t>(got.begin(), got.end()), expect);
+      const auto cell_of = [&](Point2 p) {
+        return std::make_pair(std::floor((p.y - bounds.y0) / GetParam()),
+                              std::floor((p.x - bounds.x0) / GetParam()));
+      };
+      std::stable_sort(hits.begin(), hits.end(),
+                       [&](const auto& a, const auto& b) {
+                         return cell_of(a.second) < cell_of(b.second);
+                       });
+      std::vector<std::uint32_t> expect;
+      for (const auto& hit : hits) expect.push_back(hit.first);
+      EXPECT_EQ(idx.query_disc(c, r), expect);
     }
   }
 }
