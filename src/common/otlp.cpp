@@ -128,8 +128,15 @@ void OtlpSink::ingest_trace(std::string_view line) {
     if (tv < s.start_t) s.start_t = tv;
     if (tv > s.end_t) s.end_t = tv;
   }
+  // Receivers' acks carry the id of the frame they answer and flood
+  // forwards keep the flood's id, so only the origin's transmissions
+  // count: the first is the send, every later one replays its frame.
   const JsonValue* kind_rec = doc->find("kind");
-  if (kind_rec && kind_rec->as_string() == "tx") ++s.tx_records;
+  const JsonValue* node = doc->find("node");
+  if (kind_rec && kind_rec->as_string() == "tx" && node &&
+      static_cast<std::int64_t>(node->as_number()) == s.origin_node) {
+    ++s.origin_tx;
+  }
 }
 
 void OtlpSink::ingest_metrics(std::string_view line) {
@@ -231,8 +238,8 @@ std::string OtlpSink::render_document() const {
       write_int_attr(w, "decor.records",
                      static_cast<std::int64_t>(s.records));
       write_int_attr(w, "decor.retransmits",
-                     s.tx_records > 1
-                         ? static_cast<std::int64_t>(s.tx_records - 1)
+                     s.origin_tx > 1
+                         ? static_cast<std::int64_t>(s.origin_tx - 1)
                          : 0);
       w.end_array();
       w.end_object();

@@ -5,11 +5,12 @@
 // collector (Jaeger, Tempo, Prometheus via the collector) without a
 // bespoke adapter. The sink subscribes to three bus streams:
 //
-//  - trace: each distinct trace causality id (PR 4) becomes one span —
+//  - trace: each distinct trace causality id becomes one span —
 //    start/end from the first/last record carrying that id, origin node
-//    and retransmit count as attributes, and the name derived from the
-//    first record's detail via a caller-supplied namer (common cannot
-//    depend on net's message vocabulary).
+//    and retransmit count (the origin's tx records beyond the first) as
+//    attributes, and the name derived from the first record's detail via
+//    a caller-supplied namer (common cannot depend on net's message
+//    vocabulary).
 //  - metrics: decor.metrics.v1 snapshots become resourceMetrics —
 //    counters as monotonic sums, gauges as gauges, histogram quantile
 //    summaries as <name>.p50/.p90/.p99 gauges.
@@ -69,9 +70,9 @@ class OtlpSink : public TelemetrySink {
     std::string name;
     std::int64_t origin_node = -1;
     std::uint64_t records = 0;
-    /// Transmissions sharing this trace id; an ARQ exchange's
-    /// retransmissions are the tx count beyond the first.
-    std::uint64_t tx_records = 0;
+    /// Transmissions by the origin node on this trace id; an ARQ
+    /// exchange's retransmissions are the count beyond the first.
+    std::uint64_t origin_tx = 0;
   };
   struct GaugePoint {
     double t = 0.0;

@@ -4,9 +4,9 @@
 #      the `decor explain` document, the `decor report html` page and the
 #      `decor trace report --top=10` stdout.
 #   2. On the harness_golden_smoke Voronoi run, with every JSONL sink plus
-#      --trace-perfetto and --telemetry armed: the Perfetto export, the
-#      DTLM stream, and `decor trace report` on the trace JSONL and on the
-#      Perfetto file.
+#      --trace-perfetto, --telemetry and --otlp armed: the Perfetto
+#      export, the DTLM stream, the OTLP document, and `decor trace
+#      report` on the trace JSONL and on the Perfetto file.
 # A trace report's first line names its input path, so it is dropped
 # before the comparison.
 #
@@ -72,6 +72,7 @@ execute_process(
           --metrics-jsonl=${dir}/metrics.jsonl
           --trace-perfetto=${OUT}/voronoi.perfetto.json
           --telemetry=${OUT}/voronoi.dtlm
+          --otlp=${OUT}/voronoi.otlp.json
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -79,6 +80,7 @@ if(NOT rc EQUAL 0)
 endif()
 check_same(voronoi.perfetto.json)
 check_same(voronoi.dtlm)
+check_same(voronoi.otlp.json)
 run_cli(voronoi.trace_report.jsonl.txt trace report ${dir}/trace.jsonl)
 run_cli(voronoi.trace_report.perfetto.txt trace report
         ${OUT}/voronoi.perfetto.json)

@@ -19,7 +19,10 @@
 #include "common/metrics.hpp"
 #include "common/otlp.hpp"
 #include "common/telemetry.hpp"
+#include "common/rng.hpp"
 #include "decor/sim_runner.hpp"
+#include "decor/voronoi_sim.hpp"
+#include "lds/random_points.hpp"
 #include "net/messages.hpp"
 #include "sim/metrics_snapshot.hpp"
 #include "sim/simulator.hpp"
@@ -264,7 +267,9 @@ TEST(OtlpSink, RenderedDocumentParsesAndCarriesSpans) {
   decor::common::OtlpSink sink("unused.json");
   sink.set_span_namer(decor::core::otlp_span_name);
   // One exchange, trace id 7: original tx, a retransmission (second tx
-  // record on the same causality id), and the rx leg.
+  // by the origin on the same causality id), the receiver's ack tx, a
+  // forward by a third node, and the rx leg. Only the origin's second
+  // tx is a retransmission.
   sink.on_event({TelemetryStream::kTrace, 1, false,
                  "{\"t\":0.5,\"kind\":\"tx\",\"node\":3,"
                  "\"detail\":\"kind=3\",\"trace\":7}"});
@@ -272,6 +277,12 @@ TEST(OtlpSink, RenderedDocumentParsesAndCarriesSpans) {
                  "{\"t\":0.9,\"kind\":\"tx\",\"node\":3,"
                  "\"detail\":\"kind=3\",\"trace\":7}"});
   sink.on_event({TelemetryStream::kTrace, 3, false,
+                 "{\"t\":1,\"kind\":\"tx\",\"node\":4,"
+                 "\"detail\":\"kind=9\",\"trace\":7}"});
+  sink.on_event({TelemetryStream::kTrace, 4, false,
+                 "{\"t\":1.1,\"kind\":\"tx\",\"node\":5,"
+                 "\"detail\":\"kind=3\",\"trace\":7}"});
+  sink.on_event({TelemetryStream::kTrace, 5, false,
                  "{\"t\":1.25,\"kind\":\"rx\",\"node\":4,"
                  "\"detail\":\"kind=3\",\"trace\":7}"});
   sink.on_event({TelemetryStream::kTimeline, 1, false,
@@ -296,7 +307,7 @@ TEST(OtlpSink, RenderedDocumentParsesAndCarriesSpans) {
             std::string("msg.") + decor::net::msg_kind_name(3));
   EXPECT_EQ(span.get("startTimeUnixNano")->as_string(), "500000000");
   EXPECT_EQ(span.get("endTimeUnixNano")->as_string(), "1250000000");
-  // decor.retransmits = tx records beyond the first.
+  // decor.retransmits = the origin's tx records beyond the first.
   bool found_retx = false;
   for (const auto& attr : span.get("attributes")->items()) {
     if (attr.get("key")->as_string() == "decor.retransmits") {
@@ -322,6 +333,57 @@ TEST(OtlpSink, RenderedDocumentParsesAndCarriesSpans) {
 
   // Deterministic: rendering twice yields identical bytes.
   EXPECT_EQ(sink.render_document(), doc_text);
+}
+
+/// Sum of the decor.retransmits attribute over every span of an OTLP
+/// document.
+std::uint64_t otlp_retransmits(const decor::common::JsonValue& doc) {
+  std::uint64_t sum = 0;
+  for (const auto& rs : doc.get("resourceSpans")->items()) {
+    for (const auto& ss : rs.get("scopeSpans")->items()) {
+      for (const auto& span : ss.get("spans")->items()) {
+        for (const auto& attr : span.get("attributes")->items()) {
+          if (attr.get("key")->as_string() != "decor.retransmits") continue;
+          sum += std::stoull(attr.get("value", "intValue")->as_string());
+        }
+      }
+    }
+  }
+  return sum;
+}
+
+// Receivers' acks and flood forwards share the causality id of the
+// exchange they belong to, so the exported retransmit count of a lossy
+// run must equal the ARQ's own retransmission count on both runners.
+TEST(OtlpSink, RetransmitsMatchArqStatsOnLossyRuns) {
+  for (const bool voronoi : {false, true}) {
+    decor::core::RunConfig cfg;
+    cfg.params.field = decor::geom::make_rect(0, 0, 20, 20);
+    cfg.params.num_points = 200;
+    cfg.params.k = 1;
+    cfg.seed = 7;
+    decor::common::Rng rng(cfg.seed);
+    cfg.initial_positions =
+        decor::lds::random_points(cfg.params.field, 8, rng);
+    cfg.radio.loss_prob = 0.3;
+    const fs::path out = temp_path(
+        std::string("decor_otlp_retx_") + (voronoi ? "voronoi" : "grid") +
+        ".json");
+    cfg.otlp = out.string();
+    decor::core::RunResult r;
+    if (voronoi) {
+      r = decor::core::VoronoiSimHarness(decor::core::VoronoiSimConfig{cfg})
+              .run();
+    } else {
+      r = decor::core::GridSimHarness(decor::core::SimRunConfig{cfg}).run();
+    }
+    ASSERT_GT(r.arq.retx, 0u) << "a 30% loss run must retransmit";
+    const auto doc = decor::common::parse_json(read_file(out));
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(otlp_retransmits(*doc), r.arq.retx)
+        << (voronoi ? "voronoi" : "grid");
+    fs::remove(out);
+  }
 }
 
 TEST(OtlpSink, MetricsLinesBecomeSumsAndGauges) {
