@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/log.hpp"
+#include "common/require.hpp"
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -90,6 +91,55 @@ bool TelemetryBus::has_sink_for(TelemetryStream s) const noexcept {
 
 void TelemetryBus::flush() {
   for (auto& entry : sinks_) entry.sink->flush();
+}
+
+TelemetryChannel::TelemetryChannel(TelemetryStream stream,
+                                   std::string header)
+    : stream_(stream), header_(std::move(header)) {}
+
+TelemetryBus& TelemetryChannel::ensure_bus() {
+  if (bus_ == nullptr) {
+    owned_bus_ = std::make_unique<TelemetryBus>();
+    bus_ = owned_bus_.get();
+  }
+  return *bus_;
+}
+
+void TelemetryChannel::attach_bus(TelemetryBus* bus) {
+  DECOR_REQUIRE_MSG(bus != nullptr, std::string(telemetry_stream_name(
+                                        stream_)) + ": null bus");
+  DECOR_REQUIRE_MSG(!owned_bus_ && file_sink_ == 0,
+                    std::string(telemetry_stream_name(stream_)) +
+                        ": attach_bus must precede open_jsonl");
+  bus_ = bus;
+}
+
+void TelemetryChannel::publish_header() {
+  if (header_published_ || header_.empty()) return;
+  header_published_ = true;
+  ensure_bus().publish(stream_, header_, true);
+}
+
+bool TelemetryChannel::open_jsonl(const std::string& path) {
+  auto sink = std::make_unique<JsonlFileSink>(path, stream_);
+  if (!sink->ok()) {
+    DECOR_LOG_ERROR("cannot open " << telemetry_stream_name(stream_)
+                                   << " JSONL sink: " << path);
+    return false;
+  }
+  publish_header();
+  file_sink_ = ensure_bus().add_sink(std::move(sink));
+  return true;
+}
+
+void TelemetryChannel::close_jsonl() {
+  if (file_sink_ != 0 && bus_ != nullptr) bus_->remove_sink(file_sink_);
+  file_sink_ = 0;
+}
+
+void TelemetryChannel::publish(std::string_view line) {
+  publish_header();
+  bus_->publish(stream_, line);
 }
 
 JsonlFileSink::JsonlFileSink(const std::string& path, TelemetryStream stream)

@@ -117,6 +117,50 @@ class TelemetryBus {
   std::uint64_t published_ = 0;
 };
 
+/// One producer's connection to the bus: the stream it publishes on, its
+/// schema header line, the bus, and the file sink open_jsonl added. Each
+/// producer (timeline, field recorder, audit log, trace, metrics
+/// snapshots) holds one instead of repeating this plumbing.
+///
+/// The bus is the harness's (attach_bus) or, for a producer used on its
+/// own, one the channel creates at open_jsonl. The header goes out at
+/// open_jsonl, or otherwise just before the first event some sink wants;
+/// an empty header (the trace stream has none) is never sent.
+class TelemetryChannel {
+ public:
+  TelemetryChannel(TelemetryStream stream, std::string header);
+
+  /// Publishes through `bus` instead of an owned one; must precede
+  /// open_jsonl, so every producer of a run shares the harness bus.
+  void attach_bus(TelemetryBus* bus);
+
+  /// Adds a JsonlFileSink for `path`, header first; logs and returns
+  /// false when the file cannot be opened.
+  bool open_jsonl(const std::string& path);
+  void close_jsonl();
+
+  /// True when some sink wants the stream: producers serialize an event
+  /// only then.
+  bool wanted() const noexcept {
+    return bus_ != nullptr && bus_->has_sink_for(stream_);
+  }
+  /// Publishes one event line, preceded by the header if still unsent.
+  void publish(std::string_view line);
+
+  const std::string& header() const noexcept { return header_; }
+
+ private:
+  TelemetryBus& ensure_bus();
+  void publish_header();
+
+  TelemetryStream stream_;
+  std::string header_;
+  TelemetryBus* bus_ = nullptr;
+  std::unique_ptr<TelemetryBus> owned_bus_;
+  bool header_published_ = false;
+  TelemetryBus::SinkId file_sink_ = 0;
+};
+
 /// The classic artifact file: writes every line of one stream, newline
 /// terminated, in delivery order — byte-identical to the pre-bus
 /// per-producer ofstreams.

@@ -5,14 +5,48 @@
 #include <sstream>
 
 #include "common/json.hpp"
-#include "common/log.hpp"
 #include "common/require.hpp"
 
 namespace decor::coverage {
 
+namespace {
+
+/// The decor.field.v1 header line: the raster geometry.
+std::string field_header_json(const geom::Rect& bounds, std::uint32_t k,
+                              std::size_t cols, std::size_t rows) {
+  std::ostringstream os;
+  common::JsonWriter w(os);
+  w.begin_object();
+  w.key("schema");
+  w.value("decor.field.v1");
+  w.key("k");
+  w.value(static_cast<std::uint64_t>(k));
+  w.key("cols");
+  w.value(static_cast<std::uint64_t>(cols));
+  w.key("rows");
+  w.value(static_cast<std::uint64_t>(rows));
+  w.key("x0");
+  w.value(bounds.x0);
+  w.key("y0");
+  w.value(bounds.y0);
+  w.key("width");
+  w.value(bounds.width());
+  w.key("height");
+  w.value(bounds.height());
+  w.end_object();
+  return os.str();
+}
+
+}  // namespace
+
 FieldRecorder::FieldRecorder(const geom::Rect& bounds, std::uint32_t k,
                              std::size_t cols, std::size_t rows)
-    : bounds_(bounds), k_(k), cols_(cols), rows_(rows) {
+    : bounds_(bounds),
+      k_(k),
+      cols_(cols),
+      rows_(rows),
+      channel_(common::TelemetryStream::kField,
+               field_header_json(bounds, k, cols, rows)) {
   DECOR_REQUIRE_MSG(k_ >= 1, "coverage requirement must be >= 1");
   DECOR_REQUIRE_MSG(cols_ >= 1 && rows_ >= 1,
                     "field raster needs at least one cell");
@@ -37,44 +71,6 @@ std::size_t FieldRecorder::cell_of(geom::Point2 p) const noexcept {
         std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(n) - 1));
   };
   return clamp_idx(fy, rows_) * cols_ + clamp_idx(fx, cols_);
-}
-
-common::TelemetryBus& FieldRecorder::ensure_bus() {
-  if (!bus_) {
-    owned_bus_ = std::make_unique<common::TelemetryBus>();
-    bus_ = owned_bus_.get();
-  }
-  return *bus_;
-}
-
-void FieldRecorder::attach_bus(common::TelemetryBus* bus) {
-  DECOR_REQUIRE_MSG(bus != nullptr, "field recorder: null bus");
-  DECOR_REQUIRE_MSG(!owned_bus_ && file_sink_ == 0,
-                    "field recorder: attach_bus must precede open_jsonl");
-  bus_ = bus;
-}
-
-void FieldRecorder::publish_header() {
-  if (header_published_) return;
-  header_published_ = true;
-  ensure_bus().publish(common::TelemetryStream::kField, header_json(), true);
-}
-
-bool FieldRecorder::open_jsonl(const std::string& path) {
-  auto sink = std::make_unique<common::JsonlFileSink>(
-      path, common::TelemetryStream::kField);
-  if (!sink->ok()) {
-    DECOR_LOG_ERROR("cannot open field JSONL sink: " << path);
-    return false;
-  }
-  publish_header();
-  file_sink_ = ensure_bus().add_sink(std::move(sink));
-  return true;
-}
-
-void FieldRecorder::close_jsonl() {
-  if (file_sink_ != 0 && bus_) bus_->remove_sink(file_sink_);
-  file_sink_ = 0;
 }
 
 const FieldSnapshot& FieldRecorder::snapshot(double t, const CoverageMap& map,
@@ -154,36 +150,8 @@ const FieldSnapshot& FieldRecorder::snapshot(double t, const CoverageMap& map,
   }
 
   snapshots_.push_back(std::move(s));
-  if (bus_ && bus_->has_sink_for(common::TelemetryStream::kField)) {
-    publish_header();
-    bus_->publish(common::TelemetryStream::kField,
-                  snapshot_json(snapshots_.back()));
-  }
+  if (channel_.wanted()) channel_.publish(snapshot_json(snapshots_.back()));
   return snapshots_.back();
-}
-
-std::string FieldRecorder::header_json() const {
-  std::ostringstream os;
-  common::JsonWriter w(os);
-  w.begin_object();
-  w.key("schema");
-  w.value("decor.field.v1");
-  w.key("k");
-  w.value(static_cast<std::uint64_t>(k_));
-  w.key("cols");
-  w.value(static_cast<std::uint64_t>(cols_));
-  w.key("rows");
-  w.value(static_cast<std::uint64_t>(rows_));
-  w.key("x0");
-  w.value(bounds_.x0);
-  w.key("y0");
-  w.value(bounds_.y0);
-  w.key("width");
-  w.value(bounds_.width());
-  w.key("height");
-  w.value(bounds_.height());
-  w.end_object();
-  return os.str();
 }
 
 std::string FieldRecorder::snapshot_json(const FieldSnapshot& s) {

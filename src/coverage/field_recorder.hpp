@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,15 +73,12 @@ class FieldRecorder {
   std::size_t rows() const noexcept { return rows_; }
   const geom::Rect& bounds() const noexcept { return bounds_; }
 
-  /// Publishes snapshots through `bus` instead of the internally-owned
-  /// fallback; must precede open_jsonl.
-  void attach_bus(common::TelemetryBus* bus);
-
-  /// Streams subsequent snapshots to `path` via a bus file sink (schema
-  /// header emitted immediately); logs and returns false when the file
-  /// cannot be opened.
-  bool open_jsonl(const std::string& path);
-  void close_jsonl();
+  /// Bus plumbing, as common::TelemetryChannel documents it.
+  void attach_bus(common::TelemetryBus* bus) { channel_.attach_bus(bus); }
+  bool open_jsonl(const std::string& path) {
+    return channel_.open_jsonl(path);
+  }
+  void close_jsonl() { channel_.close_jsonl(); }
 
   /// Takes one snapshot of `map`'s current counts (appends in memory,
   /// streams when a sink is open) and returns it.
@@ -98,24 +94,21 @@ class FieldRecorder {
   }
 
   /// The decor.field.v1 header line (no trailing newline).
-  std::string header_json() const;
+  const std::string& header_json() const noexcept {
+    return channel_.header();
+  }
   /// One snapshot as a decor.field.v1 line (no trailing newline).
   static std::string snapshot_json(const FieldSnapshot& s);
 
  private:
   std::size_t cell_of(geom::Point2 p) const noexcept;
-  common::TelemetryBus& ensure_bus();
-  void publish_header();
 
   geom::Rect bounds_;
   std::uint32_t k_;
   std::size_t cols_;
   std::size_t rows_;
   std::vector<FieldSnapshot> snapshots_;
-  common::TelemetryBus* bus_ = nullptr;
-  std::unique_ptr<common::TelemetryBus> owned_bus_;
-  bool header_published_ = false;
-  common::TelemetryBus::SinkId file_sink_ = 0;
+  common::TelemetryChannel channel_;
 };
 
 }  // namespace decor::coverage

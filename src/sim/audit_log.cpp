@@ -3,55 +3,11 @@
 #include <sstream>
 
 #include "common/json.hpp"
-#include "common/log.hpp"
-#include "common/require.hpp"
 
 namespace decor::sim {
 
-common::TelemetryBus& AuditLog::ensure_bus() {
-  if (!bus_) {
-    owned_bus_ = std::make_unique<common::TelemetryBus>();
-    bus_ = owned_bus_.get();
-  }
-  return *bus_;
-}
-
-void AuditLog::attach_bus(common::TelemetryBus* bus) {
-  DECOR_REQUIRE_MSG(bus != nullptr, "audit: null bus");
-  DECOR_REQUIRE_MSG(!owned_bus_ && file_sink_ == 0,
-                    "audit: attach_bus must precede open_jsonl");
-  bus_ = bus;
-}
-
-void AuditLog::publish_header() {
-  if (header_published_) return;
-  header_published_ = true;
-  ensure_bus().publish(common::TelemetryStream::kAudit,
-                       "{\"schema\":\"decor.audit.v1\"}", true);
-}
-
-bool AuditLog::open_jsonl(const std::string& path) {
-  auto sink = std::make_unique<common::JsonlFileSink>(
-      path, common::TelemetryStream::kAudit);
-  if (!sink->ok()) {
-    DECOR_LOG_ERROR("cannot open audit JSONL sink: " << path);
-    return false;
-  }
-  publish_header();
-  file_sink_ = ensure_bus().add_sink(std::move(sink));
-  return true;
-}
-
-void AuditLog::close_jsonl() {
-  if (file_sink_ != 0 && bus_) bus_->remove_sink(file_sink_);
-  file_sink_ = 0;
-}
-
 void AuditLog::record(AuditRecord r) {
-  if (bus_ && bus_->has_sink_for(common::TelemetryStream::kAudit)) {
-    publish_header();
-    bus_->publish(common::TelemetryStream::kAudit, record_json(r));
-  }
+  if (channel_.wanted()) channel_.publish(record_json(r));
   records_.push_back(std::move(r));
 }
 

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,15 +54,12 @@ struct AuditRecord {
 
 class AuditLog {
  public:
-  /// Publishes records through `bus` instead of the internally-owned
-  /// fallback; must precede open_jsonl.
-  void attach_bus(common::TelemetryBus* bus);
-
-  /// Streams subsequent records to `path` via a bus file sink (schema
-  /// header emitted immediately); logs and returns false when the file
-  /// cannot be opened.
-  bool open_jsonl(const std::string& path);
-  void close_jsonl();
+  /// Bus plumbing, as common::TelemetryChannel documents it.
+  void attach_bus(common::TelemetryBus* bus) { channel_.attach_bus(bus); }
+  bool open_jsonl(const std::string& path) {
+    return channel_.open_jsonl(path);
+  }
+  void close_jsonl() { channel_.close_jsonl(); }
 
   void record(AuditRecord r);
 
@@ -75,14 +71,9 @@ class AuditLog {
   static std::string record_json(const AuditRecord& r);
 
  private:
-  common::TelemetryBus& ensure_bus();
-  void publish_header();
-
   std::vector<AuditRecord> records_;
-  common::TelemetryBus* bus_ = nullptr;
-  std::unique_ptr<common::TelemetryBus> owned_bus_;
-  bool header_published_ = false;
-  common::TelemetryBus::SinkId file_sink_ = 0;
+  common::TelemetryChannel channel_{common::TelemetryStream::kAudit,
+                                    "{\"schema\":\"decor.audit.v1\"}"};
 };
 
 }  // namespace decor::sim

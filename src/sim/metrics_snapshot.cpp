@@ -3,50 +3,10 @@
 #include <sstream>
 
 #include "common/json.hpp"
-#include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/require.hpp"
 
 namespace decor::sim {
-
-common::TelemetryBus& MetricsSnapshotter::ensure_bus() {
-  if (!bus_) {
-    owned_bus_ = std::make_unique<common::TelemetryBus>();
-    bus_ = owned_bus_.get();
-  }
-  return *bus_;
-}
-
-void MetricsSnapshotter::attach_bus(common::TelemetryBus* bus) {
-  DECOR_REQUIRE_MSG(bus != nullptr, "metrics snapshot: null bus");
-  DECOR_REQUIRE_MSG(!owned_bus_ && file_sink_ == 0,
-                    "metrics snapshot: attach_bus must precede open_jsonl");
-  bus_ = bus;
-}
-
-void MetricsSnapshotter::publish_header() {
-  if (header_published_) return;
-  header_published_ = true;
-  ensure_bus().publish(common::TelemetryStream::kMetrics,
-                       "{\"schema\":\"decor.metrics.v1\"}", true);
-}
-
-bool MetricsSnapshotter::open_jsonl(const std::string& path) {
-  auto sink = std::make_unique<common::JsonlFileSink>(
-      path, common::TelemetryStream::kMetrics);
-  if (!sink->ok()) {
-    DECOR_LOG_ERROR("cannot open metrics JSONL sink: " << path);
-    return false;
-  }
-  publish_header();
-  file_sink_ = ensure_bus().add_sink(std::move(sink));
-  return true;
-}
-
-void MetricsSnapshotter::close_jsonl() {
-  if (file_sink_ != 0 && bus_) bus_->remove_sink(file_sink_);
-  file_sink_ = 0;
-}
 
 void MetricsSnapshotter::start(Simulator& sim, Time period) {
   DECOR_REQUIRE_MSG(period > 0.0, "metrics snapshot period must be positive");
@@ -71,10 +31,7 @@ void MetricsSnapshotter::snapshot_once() {
 void MetricsSnapshotter::take(double t) {
   std::string line = snapshot_json(t);
   ++taken_;
-  if (bus_ && bus_->has_sink_for(common::TelemetryStream::kMetrics)) {
-    publish_header();
-    bus_->publish(common::TelemetryStream::kMetrics, line);
-  }
+  if (channel_.wanted()) channel_.publish(line);
   tail_.push_back(std::move(line));
   while (tail_.size() > kTailCap) tail_.pop_front();
 }

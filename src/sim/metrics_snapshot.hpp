@@ -30,15 +30,12 @@ namespace decor::sim {
 
 class MetricsSnapshotter {
  public:
-  /// Publishes snapshots through `bus` instead of the internally-owned
-  /// fallback; must precede open_jsonl.
-  void attach_bus(common::TelemetryBus* bus);
-
-  /// Streams subsequent snapshots to `path` via a bus file sink (schema
-  /// header emitted immediately); logs and returns false when the file
-  /// cannot be opened.
-  bool open_jsonl(const std::string& path);
-  void close_jsonl();
+  /// Bus plumbing, as common::TelemetryChannel documents it.
+  void attach_bus(common::TelemetryBus* bus) { channel_.attach_bus(bus); }
+  bool open_jsonl(const std::string& path) {
+    return channel_.open_jsonl(path);
+  }
+  void close_jsonl() { channel_.close_jsonl(); }
 
   /// Snapshots the global registry every `period` sim-seconds (first
   /// snapshot immediately) until stop(). The snapshotter must outlive
@@ -65,8 +62,6 @@ class MetricsSnapshotter {
 
  private:
   void tick();
-  common::TelemetryBus& ensure_bus();
-  void publish_header();
   void take(double t);
 
   Simulator* sim_ = nullptr;
@@ -74,10 +69,8 @@ class MetricsSnapshotter {
   bool active_ = false;
   std::uint64_t taken_ = 0;
   std::deque<std::string> tail_;
-  common::TelemetryBus* bus_ = nullptr;
-  std::unique_ptr<common::TelemetryBus> owned_bus_;
-  bool header_published_ = false;
-  common::TelemetryBus::SinkId file_sink_ = 0;
+  common::TelemetryChannel channel_{common::TelemetryStream::kMetrics,
+                                    "{\"schema\":\"decor.metrics.v1\"}"};
 };
 
 }  // namespace decor::sim

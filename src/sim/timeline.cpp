@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/json.hpp"
-#include "common/log.hpp"
 #include "common/require.hpp"
 
 namespace decor::sim {
@@ -35,49 +34,8 @@ void Timeline::tick() {
   sim_->schedule(period_, [this] { tick(); });
 }
 
-common::TelemetryBus& Timeline::ensure_bus() {
-  if (!bus_) {
-    owned_bus_ = std::make_unique<common::TelemetryBus>();
-    bus_ = owned_bus_.get();
-  }
-  return *bus_;
-}
-
-void Timeline::attach_bus(common::TelemetryBus* bus) {
-  DECOR_REQUIRE_MSG(bus != nullptr, "timeline: null bus");
-  DECOR_REQUIRE_MSG(!owned_bus_ && file_sink_ == 0,
-                    "timeline: attach_bus must precede open_jsonl");
-  bus_ = bus;
-}
-
-void Timeline::publish_header() {
-  if (header_published_) return;
-  header_published_ = true;
-  ensure_bus().publish(common::TelemetryStream::kTimeline,
-                       "{\"schema\":\"decor.timeline.v1\"}", true);
-}
-
-bool Timeline::open_jsonl(const std::string& path) {
-  auto sink = std::make_unique<common::JsonlFileSink>(
-      path, common::TelemetryStream::kTimeline);
-  if (!sink->ok()) {
-    DECOR_LOG_ERROR("cannot open timeline JSONL sink: " << path);
-    return false;
-  }
-  publish_header();
-  file_sink_ = ensure_bus().add_sink(std::move(sink));
-  return true;
-}
-
-void Timeline::close_jsonl() {
-  if (file_sink_ != 0 && bus_) bus_->remove_sink(file_sink_);
-  file_sink_ = 0;
-}
-
 void Timeline::write_sample(const TimelineSample& s) {
-  if (!bus_ || !bus_->has_sink_for(common::TelemetryStream::kTimeline)) return;
-  publish_header();
-  bus_->publish(common::TelemetryStream::kTimeline, timeline_sample_json(s));
+  if (channel_.wanted()) channel_.publish(timeline_sample_json(s));
 }
 
 Time Timeline::convergence_time() const noexcept {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,18 +68,12 @@ class Timeline {
 
   bool active() const noexcept { return active_; }
 
-  /// Publishes samples through `bus` instead of the internally-owned
-  /// fallback bus. Must precede open_jsonl; the harness attaches all its
-  /// producers to one bus so extra sinks (live stream, OTLP) see every
-  /// stream.
-  void attach_bus(common::TelemetryBus* bus);
-
-  /// Routes subsequent samples to a `path` file sink on the bus; logs and
-  /// returns false if the file cannot be opened. The schema header line
-  /// is emitted immediately (bus header replay covers sinks attached
-  /// later).
-  bool open_jsonl(const std::string& path);
-  void close_jsonl();
+  /// Bus plumbing, as common::TelemetryChannel documents it.
+  void attach_bus(common::TelemetryBus* bus) { channel_.attach_bus(bus); }
+  bool open_jsonl(const std::string& path) {
+    return channel_.open_jsonl(path);
+  }
+  void close_jsonl() { channel_.close_jsonl(); }
 
   const std::vector<TimelineSample>& samples() const noexcept {
     return samples_;
@@ -96,18 +89,14 @@ class Timeline {
  private:
   void tick();
   void write_sample(const TimelineSample& s);
-  common::TelemetryBus& ensure_bus();
-  void publish_header();
 
   Simulator* sim_ = nullptr;
   Time period_ = 0.0;
   Probe probe_;
   bool active_ = false;
   std::vector<TimelineSample> samples_;
-  common::TelemetryBus* bus_ = nullptr;
-  std::unique_ptr<common::TelemetryBus> owned_bus_;
-  bool header_published_ = false;
-  common::TelemetryBus::SinkId file_sink_ = 0;
+  common::TelemetryChannel channel_{common::TelemetryStream::kTimeline,
+                                    "{\"schema\":\"decor.timeline.v1\"}"};
 };
 
 /// Serializes one sample as a decor.timeline.v1 JSON line (no trailing

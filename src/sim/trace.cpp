@@ -1,8 +1,6 @@
 #include "sim/trace.hpp"
 
 #include "common/json.hpp"
-#include "common/log.hpp"
-#include "common/require.hpp"
 
 namespace decor::sim {
 
@@ -37,37 +35,6 @@ void Trace::set_capacity(std::size_t cap) {
   total_ = 0;
 }
 
-common::TelemetryBus& Trace::ensure_bus() {
-  if (!bus_) {
-    owned_bus_ = std::make_unique<common::TelemetryBus>();
-    bus_ = owned_bus_.get();
-  }
-  return *bus_;
-}
-
-void Trace::attach_bus(common::TelemetryBus* bus) {
-  DECOR_REQUIRE_MSG(bus != nullptr, "trace: null bus");
-  DECOR_REQUIRE_MSG(!owned_bus_ && file_sink_ == 0,
-                    "trace: attach_bus must precede open_jsonl");
-  bus_ = bus;
-}
-
-bool Trace::open_jsonl(const std::string& path) {
-  auto sink = std::make_unique<common::JsonlFileSink>(
-      path, common::TelemetryStream::kTrace);
-  if (!sink->ok()) {
-    DECOR_LOG_ERROR("cannot open trace JSONL sink: " << path);
-    return false;
-  }
-  file_sink_ = ensure_bus().add_sink(std::move(sink));
-  return true;
-}
-
-void Trace::close_jsonl() {
-  if (file_sink_ != 0 && bus_) bus_->remove_sink(file_sink_);
-  file_sink_ = 0;
-}
-
 std::string trace_record_json(const TraceRecord& r) {
   std::string out = "{\"seq\":";
   out += std::to_string(r.seq);
@@ -89,10 +56,9 @@ void Trace::record(Time at, TraceKind kind, std::uint32_t node,
                    std::string detail, std::uint64_t trace_id) {
   if (!enabled_) return;
   const std::uint64_t seq = ++total_;
-  if (bus_ && bus_->has_sink_for(common::TelemetryStream::kTrace)) {
-    bus_->publish(common::TelemetryStream::kTrace,
-                  trace_record_json(
-                      TraceRecord{at, kind, node, detail, trace_id, seq}));
+  if (channel_.wanted()) {
+    channel_.publish(trace_record_json(
+        TraceRecord{at, kind, node, detail, trace_id, seq}));
   }
   if (capacity_ == 0 || records_.size() < capacity_) {
     records_.push_back(

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,21 +72,18 @@ class Trace {
     return total_ - static_cast<std::uint64_t>(records_.size());
   }
 
-  /// Publishes records through `bus` instead of the internally-owned
-  /// fallback; must precede open_jsonl. Records are only serialized when
-  /// some sink on the bus wants the trace stream, so the hot path stays
-  /// cheap for purely in-memory tracing.
-  void attach_bus(common::TelemetryBus* bus);
-
-  /// Streams every subsequent record to `path` as JSON lines
-  /// ({"seq":1,"t":...,"kind":"tx","node":3,"trace":7,"detail":"..."})
-  /// via a bus file sink (the trace stream has no schema header line);
-  /// on failure to open, logs the error via common::log and returns false
-  /// (callers that cannot proceed without the sink should treat false as
-  /// fatal). The sink sees records regardless of the ring capacity, but
-  /// only while recording is enabled.
-  bool open_jsonl(const std::string& path);
-  void close_jsonl();
+  /// Bus plumbing, as common::TelemetryChannel documents it. Records are
+  /// serialized only when some sink wants the trace stream, so purely
+  /// in-memory tracing stays cheap. open_jsonl streams every later record
+  /// as one JSON line
+  /// ({"seq":1,"t":...,"kind":"tx","node":3,"trace":7,"detail":"..."});
+  /// the stream has no schema header. The file sees records regardless of
+  /// the ring capacity, but only while recording is enabled.
+  void attach_bus(common::TelemetryBus* bus) { channel_.attach_bus(bus); }
+  bool open_jsonl(const std::string& path) {
+    return channel_.open_jsonl(path);
+  }
+  void close_jsonl() { channel_.close_jsonl(); }
 
   void record(Time at, TraceKind kind, std::uint32_t node,
               std::string detail, std::uint64_t trace_id = 0);
@@ -109,16 +105,13 @@ class Trace {
  private:
   /// Index into records_ of the i-th oldest buffered record.
   std::size_t slot(std::size_t i) const noexcept;
-  common::TelemetryBus& ensure_bus();
 
   bool enabled_ = false;
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;  // ring mode: next slot to overwrite once full
   std::uint64_t total_ = 0;
   std::vector<TraceRecord> records_;
-  common::TelemetryBus* bus_ = nullptr;
-  std::unique_ptr<common::TelemetryBus> owned_bus_;
-  common::TelemetryBus::SinkId file_sink_ = 0;
+  common::TelemetryChannel channel_{common::TelemetryStream::kTrace, ""};
 };
 
 }  // namespace decor::sim
