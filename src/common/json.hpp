@@ -106,6 +106,18 @@ class JsonValue {
 
   /// First member named `key`, or nullptr (also for non-objects).
   const JsonValue* find(std::string_view key) const noexcept;
+  /// Member `key` as a number converted to T; `def` when the member is
+  /// absent or not a number.
+  template <typename T = double>
+  T number_at(std::string_view key, T def = T{}) const noexcept {
+    const JsonValue* v = find(key);
+    return v != nullptr && v->is_number() ? static_cast<T>(v->num_) : def;
+  }
+  /// Member `key` as a string; empty when absent or not a string.
+  const std::string& string_at(std::string_view key) const noexcept {
+    const JsonValue* v = find(key);
+    return v != nullptr ? v->as_string() : empty_string();
+  }
   /// find() chained over a path of keys, e.g. get("setup", "seed").
   template <typename... Keys>
   const JsonValue* get(std::string_view key, Keys... rest) const noexcept {

@@ -14,7 +14,27 @@ namespace {
 
 namespace fs = std::filesystem;
 
-Artifact load_jsonl(const fs::path& path, const std::string& rel) {
+Artifact load_document(const fs::path& path, const std::string& rel,
+                       const std::string& kind) {
+  Artifact a;
+  a.rel = rel;
+  a.kind = kind;
+  std::ifstream f(path);
+  std::stringstream buf;
+  buf << f.rdbuf();
+  auto parsed = common::parse_json(buf.str());
+  if (parsed) {
+    a.header = std::move(*parsed);
+  } else {
+    a.malformed = 1;
+    a.kind = "other";
+  }
+  return a;
+}
+
+}  // namespace
+
+Artifact load_jsonl_artifact(const std::string& path, const std::string& rel) {
   Artifact a;
   a.rel = rel;
   a.kind = "other";
@@ -51,26 +71,6 @@ Artifact load_jsonl(const fs::path& path, const std::string& rel) {
   return a;
 }
 
-Artifact load_document(const fs::path& path, const std::string& rel,
-                       const std::string& kind) {
-  Artifact a;
-  a.rel = rel;
-  a.kind = kind;
-  std::ifstream f(path);
-  std::stringstream buf;
-  buf << f.rdbuf();
-  auto parsed = common::parse_json(buf.str());
-  if (parsed) {
-    a.header = std::move(*parsed);
-  } else {
-    a.malformed = 1;
-    a.kind = "other";
-  }
-  return a;
-}
-
-}  // namespace
-
 std::vector<Artifact> load_run_artifacts(const std::string& dir,
                                          const std::string& context) {
   std::error_code ec;
@@ -96,7 +96,7 @@ std::vector<Artifact> load_run_artifacts(const std::string& dir,
   for (const auto& [rel, path] : files) {
     const std::string name = path.filename().string();
     if (name.size() > 6 && name.ends_with(".jsonl")) {
-      artifacts.push_back(load_jsonl(path, rel));
+      artifacts.push_back(load_jsonl_artifact(path.string(), rel));
     } else if (name == "manifest.json") {
       artifacts.push_back(load_document(path, rel, "manifest"));
     } else if (name == "metrics.json") {

@@ -47,6 +47,11 @@ struct ArtifactWarning {
   std::string reason;
 };
 
+/// Loads one JSONL file the way load_run_artifacts loads each of a
+/// directory's: classified by its first line, unparseable lines skipped
+/// and counted; `rel` names it in the artifact.
+Artifact load_jsonl_artifact(const std::string& path, const std::string& rel);
+
 /// Loads every recognized artifact under `dir` (recursively, so flight
 /// bundles nested in a run directory are included): *.jsonl files plus
 /// manifest.json / metrics.json documents. Throws common::RequireError

@@ -7,42 +7,13 @@
 #include <utility>
 
 #include "net/messages.hpp"
-#include "sim/trace_export.hpp"
+#include "sim/trace.hpp"
 
 namespace decor::core {
 
 namespace {
 
 using common::JsonValue;
-
-double num_at(const JsonValue& obj, std::string_view key, double def = 0.0) {
-  const auto* v = obj.find(key);
-  return v != nullptr ? v->as_number(def) : def;
-}
-
-std::uint64_t u64_at(const JsonValue& obj, std::string_view key) {
-  return static_cast<std::uint64_t>(num_at(obj, key));
-}
-
-std::string str_at(const JsonValue& obj, std::string_view key) {
-  const auto* v = obj.find(key);
-  return v != nullptr ? v->as_string() : std::string();
-}
-
-/// `from=N` sender in an rx/drop detail string, or -1 when absent.
-std::int64_t parse_detail_from(std::string_view detail) {
-  const auto pos = detail.find("from=");
-  if (pos == std::string_view::npos) return -1;
-  std::int64_t v = 0;
-  bool any = false;
-  for (std::size_t i = pos + 5; i < detail.size(); ++i) {
-    const char c = detail[i];
-    if (c < '0' || c > '9') break;
-    v = v * 10 + (c - '0');
-    any = true;
-  }
-  return any ? v : -1;
-}
 
 double median_of(std::vector<double> v) {
   if (v.empty()) return 0.0;
@@ -71,19 +42,6 @@ double union_measure(std::vector<std::pair<double, double>> ivals) {
   if (open) total += cur_hi - cur_lo;
   return total;
 }
-
-/// Everything the trace pass accumulates for one causality id.
-struct SpanAgg {
-  double first_t = 0.0;
-  double last_t = 0.0;
-  std::uint32_t origin = 0;
-  bool have_origin = false;
-  bool started = false;
-  std::uint64_t retransmits = 0;
-  /// Last tx time per transmitting node (the rx side joins against the
-  /// sender's most recent send to measure per-link latency).
-  std::map<std::uint32_t, double> last_tx;
-};
 
 struct NodeAgg {
   std::uint64_t tx = 0;
@@ -124,12 +82,12 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
     double prev_t = 0.0;
     bool have_prev = false;
     for (const auto& s : timeline->records) {
-      const double t = num_at(s, "t");
+      const double t = s.number_at("t");
       max_t = std::max(max_t, t);
       if (have_prev && t > prev_t) diffs.push_back(t - prev_t);
       prev_t = t;
       have_prev = true;
-      if (doc.convergence_time < 0.0 && num_at(s, "uncovered", 1.0) == 0.0) {
+      if (doc.convergence_time < 0.0 && s.number_at("uncovered", 1.0) == 0.0) {
         doc.convergence_time = t;
         doc.converged = true;
       }
@@ -138,16 +96,19 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   } else {
     doc.warnings.push_back("no decor.timeline.v1 artifact");
   }
+  std::vector<sim::TraceRecord> rows;  // the trace artifact, read once
   if (trace != nullptr) {
     doc.trace_records = trace->records.size();
-    for (const auto& r : trace->records) {
-      const double t = num_at(r, "t");
-      max_t = std::max(max_t, t);
-      if (!doc.converged && str_at(r, "kind") == "protocol" &&
-          str_at(r, "detail") == "converged") {
-        doc.convergence_time = t;
+    for (const auto& row : trace->records) {
+      auto r = sim::trace_record_from_json(row);
+      if (!r) continue;
+      max_t = std::max(max_t, r->at);
+      if (!doc.converged && r->kind == sim::TraceKind::kProtocol &&
+          r->detail == "converged") {
+        doc.convergence_time = r->at;
         doc.converged = true;
       }
+      rows.push_back(std::move(*r));
     }
   } else {
     doc.warnings.push_back("no trace artifact");
@@ -169,12 +130,14 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
     const JsonValue* sat = nullptr;   // latest with newly_satisfied > 0
     const JsonValue* last = nullptr;  // latest before the horizon at all
     for (const auto& r : audit->records) {
-      const double t = num_at(r, "t");
+      const double t = r.number_at("t");
       if (first_audit_t < 0.0) first_audit_t = t;
-      if (u64_at(r, "trace_id") == 0) ++audits_without_trace_id;
+      if (r.number_at<std::uint64_t>("trace_id") == 0) {
+        ++audits_without_trace_id;
+      }
       if (t > horizon + doc.sample_cadence) continue;
       last = &r;  // file order is time order: keep the latest
-      if (u64_at(r, "newly_satisfied") > 0) sat = &r;
+      if (r.number_at<std::uint64_t>("newly_satisfied") > 0) sat = &r;
     }
     // Prefer the newly-satisfied key, but only while the audit trail
     // keeps recording it: seed bootstraps log newly_satisfied=0 even
@@ -183,7 +146,7 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
     // is stale — coverage was still open after it fired.
     const JsonValue* closing = sat;
     if (closing != nullptr && last != nullptr &&
-        num_at(*closing, "t") + doc.sample_cadence < num_at(*last, "t")) {
+        closing->number_at("t") + doc.sample_cadence < last->number_at("t")) {
       doc.warnings.push_back(
           "audit trail stops recording newly-satisfied points before "
           "convergence; using the last pre-convergence decision");
@@ -203,15 +166,16 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
       }
     }
     doc.closing_placement.present = true;
-    doc.closing_placement.t = num_at(*closing, "t");
-    doc.closing_placement.actor =
-        static_cast<std::uint32_t>(num_at(*closing, "actor"));
-    doc.closing_placement.reason = str_at(*closing, "reason");
-    doc.closing_placement.x = num_at(*closing, "x");
-    doc.closing_placement.y = num_at(*closing, "y");
-    doc.closing_placement.benefit = num_at(*closing, "benefit");
-    doc.closing_placement.newly_satisfied = u64_at(*closing, "newly_satisfied");
-    doc.closing_placement.trace_id = u64_at(*closing, "trace_id");
+    doc.closing_placement.t = closing->number_at("t");
+    doc.closing_placement.actor = closing->number_at<std::uint32_t>("actor");
+    doc.closing_placement.reason = closing->string_at("reason");
+    doc.closing_placement.x = closing->number_at("x");
+    doc.closing_placement.y = closing->number_at("y");
+    doc.closing_placement.benefit = closing->number_at("benefit");
+    doc.closing_placement.newly_satisfied =
+        closing->number_at<std::uint64_t>("newly_satisfied");
+    doc.closing_placement.trace_id =
+        closing->number_at<std::uint64_t>("trace_id");
   } else {
     doc.warnings.push_back("no decor.audit.v1 artifact");
   }
@@ -226,8 +190,8 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   if (field != nullptr && !field->records.empty()) {
     const JsonValue* last_open = nullptr;
     for (const auto& s : field->records) {
-      if (num_at(s, "t") > horizon + doc.sample_cadence) break;
-      if (num_at(s, "uncovered") > 0.0) last_open = &s;
+      if (s.number_at("t") > horizon + doc.sample_cadence) break;
+      if (s.number_at("uncovered") > 0.0) last_open = &s;
     }
     const auto* holes =
         last_open != nullptr ? last_open->find("holes") : nullptr;
@@ -240,8 +204,8 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
         double best_d = 0.0;
         bool first = true;
         for (const auto& h : holes->items()) {
-          const double dx = num_at(h, "cx") - doc.closing_placement.x;
-          const double dy = num_at(h, "cy") - doc.closing_placement.y;
+          const double dx = h.number_at("cx") - doc.closing_placement.x;
+          const double dy = h.number_at("cy") - doc.closing_placement.y;
           const double d2 = dx * dx + dy * dy;
           if (first || d2 < best_d) {
             best_d = d2;
@@ -251,13 +215,13 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
         }
       }
       doc.last_hole.present = true;
-      doc.last_hole.t = num_at(*last_open, "t");
-      doc.last_hole.points = u64_at(*best, "points");
-      doc.last_hole.area = num_at(*best, "area");
-      doc.last_hole.cx = num_at(*best, "cx");
-      doc.last_hole.cy = num_at(*best, "cy");
+      doc.last_hole.t = last_open->number_at("t");
+      doc.last_hole.points = best->number_at<std::uint64_t>("points");
+      doc.last_hole.area = best->number_at("area");
+      doc.last_hole.cx = best->number_at("cx");
+      doc.last_hole.cy = best->number_at("cy");
       doc.last_hole.max_deficit =
-          static_cast<std::uint32_t>(num_at(*best, "max_deficit"));
+          best->number_at<std::uint32_t>("max_deficit");
     } else if (last_open != nullptr) {
       doc.warnings.push_back(
           "last uncovered field snapshot records no hole inventory");
@@ -268,69 +232,47 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
     doc.warnings.push_back("no decor.field.v1 artifact");
   }
 
-  // --- trace pass: spans, node stats, link stats --------------------------
-  std::map<std::uint64_t, SpanAgg> spans;
+  // --- trace pass: exchanges, node stats, link stats ----------------------
+  sim::ExchangeTracker tracker(net::kAck);
   std::map<std::uint32_t, NodeAgg> nodes;
   std::map<std::pair<std::uint32_t, std::uint32_t>, LinkAgg> links;
-  if (trace != nullptr) {
-    for (const auto& r : trace->records) {
-      const std::string kind = str_at(r, "kind");
-      const double t = num_at(r, "t");
-      const auto node = static_cast<std::uint32_t>(num_at(r, "node"));
-      const std::string detail = str_at(r, "detail");
-      if (kind == "protocol") {
-        if (detail.rfind("dead-peer=", 0) == 0) ++nodes[node].dead_peers;
-        continue;
+  // Last tx time per (causality id, node): an rx joins its sender's most
+  // recent send to measure per-link latency.
+  std::map<std::pair<std::uint64_t, std::uint32_t>, double> last_tx;
+  // The closing placement's exchange, leg by leg.
+  std::vector<std::pair<const sim::TraceRecord*, sim::TraceLeg>> critical;
+  for (const auto& r : rows) {
+    if (r.kind == sim::TraceKind::kProtocol) {
+      if (r.detail.starts_with("dead-peer=")) ++nodes[r.node].dead_peers;
+      continue;
+    }
+    const sim::TraceLeg leg = tracker.add(r);
+    if (leg != sim::TraceLeg::kNone &&
+        r.trace_id == doc.closing_placement.trace_id) {
+      critical.emplace_back(&r, leg);
+    }
+    const sim::TraceDetail d = sim::parse_trace_detail(r.detail);
+    if (r.kind == sim::TraceKind::kTx) {
+      ++nodes[r.node].tx;
+      if (leg == sim::TraceLeg::kSend) ++nodes[r.node].origin_sends;
+      if (leg == sim::TraceLeg::kRetransmit) ++nodes[r.node].retx;
+      if (leg != sim::TraceLeg::kNone) last_tx[{r.trace_id, r.node}] = r.at;
+    } else if (r.kind == sim::TraceKind::kRx && d.from >= 0) {
+      const auto from = static_cast<std::uint32_t>(d.from);
+      auto& link = links[{from, r.node}];
+      ++link.delivered;
+      const auto it = last_tx.find({r.trace_id, from});
+      if (it != last_tx.end() && r.at >= it->second) {
+        link.latencies.push_back(r.at - it->second);
       }
-      const auto tid = u64_at(r, "trace");
-      SpanAgg* span = nullptr;
-      if (tid != 0) {
-        span = &spans[tid];
-        if (!span->started) {
-          span->started = true;
-          span->first_t = t;
-          span->last_t = t;
-        }
-        span->last_t = std::max(span->last_t, t);
-      }
-      if (kind == "tx") {
-        ++nodes[node].tx;
-        if (span != nullptr) {
-          if (!span->have_origin) {
-            span->have_origin = true;
-            span->origin = node;
-            ++nodes[node].origin_sends;
-          } else if (node == span->origin &&
-                     sim::parse_detail_kind(detail) != net::kAck) {
-            ++span->retransmits;
-            ++nodes[node].retx;
-          }
-          span->last_tx[node] = t;
-        }
-      } else if (kind == "rx") {
-        const std::int64_t from = parse_detail_from(detail);
-        if (from >= 0) {
-          auto& link = links[{static_cast<std::uint32_t>(from), node}];
-          ++link.delivered;
-          if (span != nullptr) {
-            const auto it =
-                span->last_tx.find(static_cast<std::uint32_t>(from));
-            if (it != span->last_tx.end() && t >= it->second) {
-              link.latencies.push_back(t - it->second);
-            }
-          }
-        }
-      } else if (kind == "drop") {
-        ++nodes[node].drops;
-        if (detail.rfind("crc", 0) == 0) {
-          const std::int64_t from = parse_detail_from(detail);
-          if (from >= 0) {
-            ++links[{static_cast<std::uint32_t>(from), node}].crc_drops;
-          }
-        }
+    } else if (r.kind == sim::TraceKind::kDrop) {
+      ++nodes[r.node].drops;
+      if (d.crc && d.from >= 0) {
+        ++links[{static_cast<std::uint32_t>(d.from), r.node}].crc_drops;
       }
     }
   }
+  const auto& spans = tracker.exchanges();
 
   // --- phase attribution ---------------------------------------------------
   std::uint64_t audited_missing_trace = 0;
@@ -344,7 +286,7 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
       std::vector<std::pair<double, double>> in_flight;
       if (audit != nullptr) {
         for (const auto& r : audit->records) {
-          const auto tid = u64_at(r, "trace_id");
+          const auto tid = r.number_at<std::uint64_t>("trace_id");
           if (tid == 0) continue;
           const auto it = spans.find(tid);
           if (it == spans.end()) {
@@ -379,56 +321,24 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
     } else {
       auto& ex = doc.exchange;
       ex.trace_id = doc.closing_placement.trace_id;
-      bool have_origin = false;
-      std::uint32_t origin = 0;
-      double last_retx_t = 0.0;
-      for (const auto& r : trace->records) {
-        if (u64_at(r, "trace") != ex.trace_id) continue;
-        const std::string kind = str_at(r, "kind");
-        const double t = num_at(r, "t");
-        const auto node = static_cast<std::uint32_t>(num_at(r, "node"));
-        const std::string detail = str_at(r, "detail");
-        if (!ex.present) {
-          ex.present = true;
-          ex.first_t = t;
-          ex.last_t = t;
-        }
-        ex.last_t = std::max(ex.last_t, t);
-        ExplainLeg leg;
-        leg.t = t;
-        leg.dt = t - ex.first_t;
-        leg.node = node;
-        if (kind == "tx") {
-          const bool is_ack = sim::parse_detail_kind(detail) == net::kAck;
-          if (!have_origin) {
-            have_origin = true;
-            origin = node;
-            leg.leg = "send";
-          } else if (is_ack) {
-            leg.leg = "ack";
-            ex.completed = true;
-          } else if (node == origin) {
-            leg.leg = "retransmit";
-            ++ex.retransmits;
-            last_retx_t = t;
-          } else {
-            leg.leg = "forward";
-          }
-        } else if (kind == "rx") {
-          leg.leg = sim::parse_detail_kind(detail) == net::kAck ? "ack-rx"
-                                                                : "rx";
-          leg.from = parse_detail_from(detail);
-          if (leg.leg == "ack-rx") ex.completed = true;
-        } else if (kind == "drop") {
-          leg.leg = "drop";
-          leg.from = parse_detail_from(detail);
-        } else {
-          continue;
-        }
-        ex.legs.push_back(std::move(leg));
+      const auto it = spans.find(ex.trace_id);
+      ex.present = it != spans.end();
+      if (ex.present) {
+        ex.origin = it->second.origin;
+        ex.first_t = it->second.first_t;
+        ex.last_t = it->second.last_t;
+        ex.retransmits = it->second.retransmits;
       }
-      ex.origin = origin;
-      if (ex.retransmits > 0) ex.retx_delay = last_retx_t - ex.first_t;
+      for (const auto& [r, leg] : critical) {
+        ex.legs.push_back({r->at, r->at - ex.first_t, sim::trace_leg_name(leg),
+                           r->node, sim::parse_trace_detail(r->detail).from});
+        if (leg == sim::TraceLeg::kRetransmit) {
+          ex.retx_delay = r->at - ex.first_t;
+        }
+        if (leg == sim::TraceLeg::kAck || leg == sim::TraceLeg::kAckRx) {
+          ex.completed = true;
+        }
+      }
       if (!ex.present) {
         doc.warnings.push_back(
             "closing placement exchange not in the trace (ring truncated?)");
@@ -442,8 +352,8 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   // --- health scores -------------------------------------------------------
   {
     std::vector<double> fleet_ex;
-    for (auto& [tid, s] : spans) {
-      if (!s.have_origin) continue;
+    for (const auto& [tid, s] : spans) {
+      if (!s.has_origin) continue;
       const double d = s.last_t - s.first_t;
       nodes[s.origin].exchange_latencies.push_back(d);
       fleet_ex.push_back(d);
@@ -721,94 +631,94 @@ bool explain_from_json(const common::JsonValue& v, ExplainDoc& out) {
   }
   out = ExplainDoc{};
   if (const auto* c = v.find("converged")) out.converged = c->as_bool();
-  out.convergence_time = num_at(v, "convergence_time", -1.0);
-  out.sample_cadence = num_at(v, "sample_cadence");
+  out.convergence_time = v.number_at("convergence_time", -1.0);
+  out.sample_cadence = v.number_at("sample_cadence");
   if (const auto* p = v.find("phases")) {
-    out.detection = num_at(*p, "detection");
-    out.decision = num_at(*p, "decision");
-    out.propagation = num_at(*p, "propagation");
+    out.detection = p->number_at("detection");
+    out.decision = p->number_at("decision");
+    out.propagation = p->number_at("propagation");
   }
   if (const auto* cp = v.get("critical_path", "closing_placement");
       cp != nullptr && cp->is_object()) {
     out.closing_placement.present = true;
-    out.closing_placement.t = num_at(*cp, "t");
-    out.closing_placement.actor =
-        static_cast<std::uint32_t>(num_at(*cp, "actor"));
-    out.closing_placement.reason = str_at(*cp, "reason");
-    out.closing_placement.x = num_at(*cp, "x");
-    out.closing_placement.y = num_at(*cp, "y");
-    out.closing_placement.benefit = num_at(*cp, "benefit");
-    out.closing_placement.newly_satisfied = u64_at(*cp, "newly_satisfied");
-    out.closing_placement.trace_id = u64_at(*cp, "trace_id");
+    out.closing_placement.t = cp->number_at("t");
+    out.closing_placement.actor = cp->number_at<std::uint32_t>("actor");
+    out.closing_placement.reason = cp->string_at("reason");
+    out.closing_placement.x = cp->number_at("x");
+    out.closing_placement.y = cp->number_at("y");
+    out.closing_placement.benefit = cp->number_at("benefit");
+    out.closing_placement.newly_satisfied =
+        cp->number_at<std::uint64_t>("newly_satisfied");
+    out.closing_placement.trace_id = cp->number_at<std::uint64_t>("trace_id");
   }
   if (const auto* h = v.get("critical_path", "last_hole");
       h != nullptr && h->is_object()) {
     out.last_hole.present = true;
-    out.last_hole.t = num_at(*h, "t");
-    out.last_hole.points = u64_at(*h, "points");
-    out.last_hole.area = num_at(*h, "area");
-    out.last_hole.cx = num_at(*h, "cx");
-    out.last_hole.cy = num_at(*h, "cy");
-    out.last_hole.max_deficit = u64_at(*h, "max_deficit");
+    out.last_hole.t = h->number_at("t");
+    out.last_hole.points = h->number_at<std::uint64_t>("points");
+    out.last_hole.area = h->number_at("area");
+    out.last_hole.cx = h->number_at("cx");
+    out.last_hole.cy = h->number_at("cy");
+    out.last_hole.max_deficit = h->number_at<std::uint64_t>("max_deficit");
   }
   if (const auto* ex = v.get("critical_path", "exchange");
       ex != nullptr && ex->is_object()) {
     out.exchange.present = true;
-    out.exchange.trace_id = u64_at(*ex, "trace_id");
-    out.exchange.origin = static_cast<std::uint32_t>(num_at(*ex, "origin"));
-    out.exchange.first_t = num_at(*ex, "first_t");
-    out.exchange.last_t = num_at(*ex, "last_t");
-    out.exchange.retransmits = u64_at(*ex, "retransmits");
-    out.exchange.retx_delay = num_at(*ex, "retx_delay");
+    out.exchange.trace_id = ex->number_at<std::uint64_t>("trace_id");
+    out.exchange.origin = ex->number_at<std::uint32_t>("origin");
+    out.exchange.first_t = ex->number_at("first_t");
+    out.exchange.last_t = ex->number_at("last_t");
+    out.exchange.retransmits = ex->number_at<std::uint64_t>("retransmits");
+    out.exchange.retx_delay = ex->number_at("retx_delay");
     if (const auto* c = ex->find("completed")) {
       out.exchange.completed = c->as_bool();
     }
     if (const auto* legs = ex->find("legs"); legs != nullptr) {
       for (const auto& l : legs->items()) {
         ExplainLeg leg;
-        leg.t = num_at(l, "t");
-        leg.dt = num_at(l, "dt");
-        leg.leg = str_at(l, "leg");
-        leg.node = static_cast<std::uint32_t>(num_at(l, "node"));
-        leg.from = static_cast<std::int64_t>(num_at(l, "from", -1.0));
+        leg.t = l.number_at("t");
+        leg.dt = l.number_at("dt");
+        leg.leg = l.string_at("leg");
+        leg.node = l.number_at<std::uint32_t>("node");
+        leg.from = l.number_at<std::int64_t>("from", -1);
         out.exchange.legs.push_back(std::move(leg));
       }
     }
   }
   if (const auto* in = v.find("inputs")) {
-    out.timeline_samples = u64_at(*in, "timeline_samples");
-    out.audit_records = u64_at(*in, "audit_records");
-    out.audited_exchanges = u64_at(*in, "audited_exchanges");
-    out.trace_records = u64_at(*in, "trace_records");
+    out.timeline_samples = in->number_at<std::uint64_t>("timeline_samples");
+    out.audit_records = in->number_at<std::uint64_t>("audit_records");
+    out.audited_exchanges = in->number_at<std::uint64_t>("audited_exchanges");
+    out.trace_records = in->number_at<std::uint64_t>("trace_records");
   }
   if (const auto* h = v.find("health")) {
     out.fleet_median_exchange_latency =
-        num_at(*h, "fleet_median_exchange_latency");
-    out.fleet_median_link_latency = num_at(*h, "fleet_median_link_latency");
+        h->number_at("fleet_median_exchange_latency");
+    out.fleet_median_link_latency = h->number_at("fleet_median_link_latency");
     if (const auto* nodes = h->find("nodes"); nodes != nullptr) {
       for (const auto& n : nodes->items()) {
         ExplainNodeHealth nh;
-        nh.node = static_cast<std::uint32_t>(num_at(n, "node"));
-        nh.tx = u64_at(n, "tx");
-        nh.retx = u64_at(n, "retx");
-        nh.drops = u64_at(n, "drops");
-        nh.dead_peer_events = u64_at(n, "dead_peer_events");
-        nh.retx_ratio = num_at(n, "retx_ratio");
-        nh.latency_inflation = num_at(n, "latency_inflation");
-        nh.score = num_at(n, "score");
+        nh.node = n.number_at<std::uint32_t>("node");
+        nh.tx = n.number_at<std::uint64_t>("tx");
+        nh.retx = n.number_at<std::uint64_t>("retx");
+        nh.drops = n.number_at<std::uint64_t>("drops");
+        nh.dead_peer_events = n.number_at<std::uint64_t>("dead_peer_events");
+        nh.retx_ratio = n.number_at("retx_ratio");
+        nh.latency_inflation = n.number_at("latency_inflation");
+        nh.score = n.number_at("score");
         out.nodes.push_back(nh);
       }
     }
     if (const auto* links = h->find("links"); links != nullptr) {
       for (const auto& l : links->items()) {
         ExplainLinkHealth lh;
-        lh.src = static_cast<std::uint32_t>(num_at(l, "src"));
-        lh.dst = static_cast<std::uint32_t>(num_at(l, "dst"));
-        lh.delivered = u64_at(l, "delivered");
-        lh.crc_drops = u64_at(l, "crc_drops");
-        lh.median_latency = num_at(l, "median_latency");
-        lh.latency_inflation = num_at(l, "latency_inflation");
-        lh.score = num_at(l, "score");
+        lh.src = l.number_at<std::uint32_t>("src");
+        lh.dst = l.number_at<std::uint32_t>("dst");
+        lh.delivered = l.number_at<std::uint64_t>("delivered");
+        lh.crc_drops = l.number_at<std::uint64_t>("crc_drops");
+        lh.median_latency = l.number_at("median_latency");
+        lh.latency_inflation = l.number_at("latency_inflation");
+        lh.score = l.number_at("score");
         out.links.push_back(lh);
       }
     }

@@ -9,21 +9,14 @@
 #include "decor/protocol_node.hpp"
 #include "net/messages.hpp"
 #include "sim/flight_recorder.hpp"
+#include "sim/trace.hpp"
 
 namespace decor::core {
 
 std::string otlp_span_name(std::string_view kind, std::string_view detail) {
-  const auto pos = detail.find("kind=");
-  if (pos != std::string_view::npos) {
-    int mk = 0;
-    for (std::size_t i = pos + 5; i < detail.size(); ++i) {
-      const char c = detail[i];
-      if (c < '0' || c > '9') break;
-      mk = mk * 10 + (c - '0');
-    }
-    if (const char* name = net::msg_kind_name(mk)) {
-      return std::string("msg.") + name;
-    }
+  const int mk = sim::parse_trace_detail(detail).kind;
+  if (const char* name = net::msg_kind_name(mk)) {
+    return std::string("msg.") + name;
   }
   return std::string(kind);
 }

@@ -13,7 +13,7 @@
 #include "decor/artifacts.hpp"
 #include "decor/explain.hpp"
 #include "net/messages.hpp"
-#include "sim/trace_export.hpp"
+#include "sim/trace.hpp"
 
 namespace decor::core {
 
@@ -95,16 +95,6 @@ std::string json_to_string(const JsonValue& v) {
   return os.str();
 }
 
-double num_at(const JsonValue& obj, std::string_view key, double def = 0.0) {
-  const auto* v = obj.find(key);
-  return v != nullptr ? v->as_number(def) : def;
-}
-
-std::string str_at(const JsonValue& obj, std::string_view key) {
-  const auto* v = obj.find(key);
-  return v != nullptr ? v->as_string() : std::string();
-}
-
 std::string fmt(double v) { return common::format_double(v); }
 
 // --- field heatmaps ------------------------------------------------------
@@ -143,16 +133,14 @@ void render_heatmap_svg(std::ostream& os, const JsonValue& snap,
 
 void render_field_section(std::ostream& os, const Artifact& a,
                           const RunReportOptions& opts) {
-  const std::size_t cols =
-      static_cast<std::size_t>(num_at(a.header, "cols", 1));
-  const std::size_t rows =
-      static_cast<std::size_t>(num_at(a.header, "rows", 1));
+  const auto& h = a.header;
+  const auto cols = h.number_at<std::size_t>("cols", 1);
+  const auto rows = h.number_at<std::size_t>("rows", 1);
   os << "<h2>Field snapshots — " << html_escape(a.rel) << "</h2>\n";
   os << "<p>raster " << cols << "×" << rows << ", k="
-     << fmt(num_at(a.header, "k")) << ", field " << fmt(num_at(a.header, "x0"))
-     << "," << fmt(num_at(a.header, "y0")) << " +"
-     << fmt(num_at(a.header, "width")) << "×"
-     << fmt(num_at(a.header, "height")) << "</p>\n";
+     << fmt(h.number_at("k")) << ", field " << fmt(h.number_at("x0")) << ","
+     << fmt(h.number_at("y0")) << " +" << fmt(h.number_at("width")) << "×"
+     << fmt(h.number_at("height")) << "</p>\n";
   if (a.records.empty()) {
     os << "<p>no snapshots recorded</p>\n";
     return;
@@ -191,12 +179,12 @@ void render_field_section(std::ostream& os, const Artifact& a,
     const auto& s = a.records[i];
     os << "<figure>";
     render_heatmap_svg(os, s, cols, rows, global_max);
-    os << "<figcaption>t=" << fmt(num_at(s, "t"))
+    os << "<figcaption>t=" << fmt(s.number_at("t"))
        << (s.find("forced") != nullptr && s.find("forced")->as_bool()
                ? " (forced)"
                : "")
-       << ", deficit " << fmt(num_at(s, "total_deficit")) << ", uncovered "
-       << fmt(num_at(s, "uncovered"));
+       << ", deficit " << fmt(s.number_at("total_deficit")) << ", uncovered "
+       << fmt(s.number_at("uncovered"));
     if (const auto* holes = s.find("holes");
         holes != nullptr && !holes->items().empty()) {
       os << ", " << holes->items().size() << " hole"
@@ -211,14 +199,14 @@ void render_field_section(std::ostream& os, const Artifact& a,
   const auto& last = a.records.back();
   if (const auto* holes = last.find("holes");
       holes != nullptr && !holes->items().empty()) {
-    os << "<h3>Holes at t=" << fmt(num_at(last, "t")) << "</h3>\n"
+    os << "<h3>Holes at t=" << fmt(last.number_at("t")) << "</h3>\n"
        << "<table><tr><th>points</th><th>area</th><th>centroid</th>"
           "<th>max deficit</th></tr>\n";
     for (const auto& hole : holes->items()) {
-      os << "<tr><td>" << fmt(num_at(hole, "points")) << "</td><td>"
-         << fmt(num_at(hole, "area")) << "</td><td>"
-         << fmt(num_at(hole, "cx")) << "," << fmt(num_at(hole, "cy"))
-         << "</td><td>" << fmt(num_at(hole, "max_deficit"))
+      os << "<tr><td>" << fmt(hole.number_at("points")) << "</td><td>"
+         << fmt(hole.number_at("area")) << "</td><td>"
+         << fmt(hole.number_at("cx")) << "," << fmt(hole.number_at("cy"))
+         << "</td><td>" << fmt(hole.number_at("max_deficit"))
          << "</td></tr>\n";
     }
     os << "</table>\n";
@@ -272,15 +260,15 @@ void render_timeline_section(std::ostream& os, const Artifact& a) {
   std::vector<std::pair<double, double>> covered, arq, alive;
   double arq_max = 0.0, alive_max = 0.0, convergence = -1.0;
   for (const auto& s : a.records) {
-    const double t = num_at(s, "t");
-    covered.emplace_back(t, num_at(s, "covered"));
-    const double in_flight = num_at(s, "arq_in_flight");
+    const double t = s.number_at("t");
+    covered.emplace_back(t, s.number_at("covered"));
+    const double in_flight = s.number_at("arq_in_flight");
     arq.emplace_back(t, in_flight);
     arq_max = std::max(arq_max, in_flight);
-    const double al = num_at(s, "alive");
+    const double al = s.number_at("alive");
     alive.emplace_back(t, al);
     alive_max = std::max(alive_max, al);
-    if (convergence < 0.0 && num_at(s, "uncovered", 1.0) == 0.0) {
+    if (convergence < 0.0 && s.number_at("uncovered", 1.0) == 0.0) {
       convergence = t;
     }
   }
@@ -306,11 +294,11 @@ void render_audit_section(std::ostream& os, const Artifact& a,
   std::map<std::string, std::size_t> reasons;
   std::size_t near_ties = 0;
   for (const auto& r : a.records) {
-    ++reasons[str_at(r, "reason")];
-    const double benefit = num_at(r, "benefit");
+    ++reasons[r.string_at("reason")];
+    const double benefit = r.number_at("benefit");
     // A runner-up within 10% of the winner is a near-tie: the decision
     // another belief state could plausibly have flipped.
-    if (benefit > 0.0 && num_at(r, "runner_up") >= 0.9 * benefit) {
+    if (benefit > 0.0 && r.number_at("runner_up") >= 0.9 * benefit) {
       ++near_ties;
     }
   }
@@ -330,16 +318,16 @@ void render_audit_section(std::ostream& os, const Artifact& a,
       std::min(a.records.size(), opts.max_audit_rows);
   for (std::size_t i = 0; i < shown; ++i) {
     const auto& r = a.records[i];
-    os << "<tr><td>" << fmt(num_at(r, "t")) << "</td><td>"
-       << fmt(num_at(r, "actor")) << "</td><td>" << fmt(num_at(r, "cell"))
-       << "</td><td>" << html_escape(str_at(r, "reason")) << "</td><td>"
-       << fmt(num_at(r, "point")) << "</td><td>" << fmt(num_at(r, "x"))
-       << "," << fmt(num_at(r, "y")) << "</td><td>"
-       << fmt(num_at(r, "benefit")) << "</td><td>"
-       << fmt(num_at(r, "runner_up")) << "</td><td>"
-       << fmt(num_at(r, "candidates")) << "</td><td>"
-       << fmt(num_at(r, "newly_satisfied")) << "</td><td>"
-       << fmt(num_at(r, "trace_id")) << "</td></tr>\n";
+    os << "<tr><td>" << fmt(r.number_at("t")) << "</td><td>"
+       << fmt(r.number_at("actor")) << "</td><td>" << fmt(r.number_at("cell"))
+       << "</td><td>" << html_escape(r.string_at("reason")) << "</td><td>"
+       << fmt(r.number_at("point")) << "</td><td>" << fmt(r.number_at("x"))
+       << "," << fmt(r.number_at("y")) << "</td><td>"
+       << fmt(r.number_at("benefit")) << "</td><td>"
+       << fmt(r.number_at("runner_up")) << "</td><td>"
+       << fmt(r.number_at("candidates")) << "</td><td>"
+       << fmt(r.number_at("newly_satisfied")) << "</td><td>"
+       << fmt(r.number_at("trace_id")) << "</td></tr>\n";
   }
   os << "</table>\n";
   if (shown < a.records.size()) {
@@ -355,31 +343,23 @@ void render_trace_section(std::ostream& os, const Artifact& a) {
   std::map<std::string, std::uint64_t> tx_by_kind;
   std::uint64_t tx = 0, rx = 0, drops = 0, acks = 0;
   double convergence = -1.0;
-  for (const auto& r : a.records) {
-    const std::string kind = str_at(r, "kind");
-    if (kind == "protocol") {
-      if (str_at(r, "detail") == "converged" && convergence < 0.0) {
-        convergence = num_at(r, "t");
-      }
+  for (const auto& row : a.records) {
+    const auto r = sim::trace_record_from_json(row);
+    if (!r) continue;
+    if (r->kind == sim::TraceKind::kProtocol) {
+      if (r->detail == "converged" && convergence < 0.0) convergence = r->at;
       continue;
     }
-    if (kind == "rx") {
-      ++rx;
-      continue;
-    }
-    if (kind == "drop") {
-      ++drops;
-      continue;
-    }
-    if (kind != "tx") continue;
+    if (r->kind == sim::TraceKind::kRx) ++rx;
+    if (r->kind == sim::TraceKind::kDrop) ++drops;
+    if (r->kind != sim::TraceKind::kTx) continue;
     ++tx;
-    const int mk = sim::parse_detail_kind(str_at(r, "detail"));
+    const int mk = sim::parse_trace_detail(r->detail).kind;
     if (mk == net::kAck) {
       ++acks;
       continue;
     }
-    const char* name = net::msg_kind_name(mk);
-    ++tx_by_kind[name != nullptr ? name : "kind-" + std::to_string(mk)];
+    ++tx_by_kind[net::msg_kind_label(mk)];
   }
   os << "<p>" << a.records.size() << " records: " << tx << " tx (" << acks
      << " acks), " << rx << " rx, " << drops << " dropped";
@@ -646,15 +626,15 @@ RunSummary summarize_run(const std::vector<Artifact>& artifacts) {
     if (a.kind == "timeline" && s.timeline_samples == 0) {
       s.timeline_samples = a.records.size();
       for (const auto& r : a.records) {
-        const double t = num_at(r, "t");
-        s.covered_series.emplace_back(t, num_at(r, "covered"));
-        if (s.convergence < 0.0 && num_at(r, "uncovered", 1.0) == 0.0) {
+        const double t = r.number_at("t");
+        s.covered_series.emplace_back(t, r.number_at("covered"));
+        if (s.convergence < 0.0 && r.number_at("uncovered", 1.0) == 0.0) {
           s.convergence = t;
         }
       }
       if (!a.records.empty()) {
-        s.final_covered = num_at(a.records.back(), "covered");
-        s.final_alive = num_at(a.records.back(), "alive");
+        s.final_covered = a.records.back().number_at("covered");
+        s.final_alive = a.records.back().number_at("alive");
       }
     } else if (a.kind == "field") {
       s.field_snapshots += a.records.size();

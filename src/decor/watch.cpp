@@ -97,11 +97,6 @@ void append_spark_row(std::string& out, std::size_t cols,
   append_padded(out, line, cols);
 }
 
-std::uint64_t u64_of(const common::JsonValue& obj, std::string_view key) {
-  const auto* v = obj.find(key);
-  return v != nullptr ? static_cast<std::uint64_t>(v->as_number()) : 0;
-}
-
 }  // namespace
 
 bool DashboardState::ingest(std::string_view stream, std::string_view line) {
@@ -114,9 +109,9 @@ bool DashboardState::ingest(std::string_view stream, std::string_view line) {
     // Header line: the field header carries the raster geometry; the
     // timeline/metrics/audit headers carry nothing the dashboard needs.
     if (stream == "field") {
-      k_ = static_cast<std::uint32_t>(u64_of(*doc, "k"));
-      field_cols_ = static_cast<std::size_t>(u64_of(*doc, "cols"));
-      field_rows_ = static_cast<std::size_t>(u64_of(*doc, "rows"));
+      k_ = static_cast<std::uint32_t>(doc->number_at<std::uint64_t>("k"));
+      field_cols_ = doc->number_at<std::size_t>("cols");
+      field_rows_ = doc->number_at<std::size_t>("rows");
     }
     return true;
   }
@@ -127,13 +122,13 @@ bool DashboardState::ingest(std::string_view stream, std::string_view line) {
     WatchTimelinePoint p;
     p.t = t;
     if (const auto* v = doc->find("covered")) p.covered = v->as_number();
-    p.uncovered = u64_of(*doc, "uncovered");
-    p.alive = u64_of(*doc, "alive");
-    p.arq_in_flight = u64_of(*doc, "arq_in_flight");
+    p.uncovered = doc->number_at<std::uint64_t>("uncovered");
+    p.alive = doc->number_at<std::uint64_t>("alive");
+    p.arq_in_flight = doc->number_at<std::uint64_t>("arq_in_flight");
     if (const auto* v = doc->find("arq_sent")) {
       p.has_arq = true;
       p.arq_sent = static_cast<std::uint64_t>(v->as_number());
-      p.arq_retx = u64_of(*doc, "arq_retx");
+      p.arq_retx = doc->number_at<std::uint64_t>("arq_retx");
     }
     if (const auto* v = doc->find("reading_bytes")) {
       p.has_readings = true;
@@ -146,7 +141,7 @@ bool DashboardState::ingest(std::string_view stream, std::string_view line) {
     if (const auto* v = doc->find("total_deficit")) {
       field_deficit_ = v->as_number();
     }
-    field_uncovered_ = u64_of(*doc, "uncovered");
+    field_uncovered_ = doc->number_at<std::uint64_t>("uncovered");
     if (const auto* v = doc->find("raster"); v != nullptr && v->is_array()) {
       raster_.clear();
       raster_.reserve(v->items().size());

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "geometry/point.hpp"
 
@@ -127,6 +128,12 @@ inline const char* msg_kind_name(int kind) noexcept {
       return "reading";
   }
   return nullptr;
+}
+
+/// msg_kind_name, or "kind-N" for a kind the vocabulary does not name.
+inline std::string msg_kind_label(int kind) {
+  const char* name = msg_kind_name(kind);
+  return name != nullptr ? name : "kind-" + std::to_string(kind);
 }
 
 /// Nominal wire sizes (bytes) used by the energy model; roughly two floats

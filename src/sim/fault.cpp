@@ -22,11 +22,6 @@ std::optional<FaultEvent::Kind> kind_from_name(const std::string& name) {
   return std::nullopt;
 }
 
-double num_or(const common::JsonValue& obj, const char* key, double def) {
-  const common::JsonValue* v = obj.find(key);
-  return v ? v->as_number(def) : def;
-}
-
 void fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
 }
@@ -133,16 +128,16 @@ std::optional<FaultPlan> FaultPlan::parse(const common::JsonValue& doc,
     }
     FaultEvent ev;
     ev.kind = *parsed_kind;
-    ev.at = num_or(e, "at", 0.0);
+    ev.at = e.number_at("at", 0.0);
     if (ev.at < 0.0) {
       fail(error, at_event + "\"at\" must be >= 0");
       return std::nullopt;
     }
     switch (ev.kind) {
       case FaultEvent::Kind::kReboot: {
-        ev.fraction = num_or(e, "fraction", 0.0);
-        ev.count = static_cast<std::uint32_t>(num_or(e, "count", 0.0));
-        ev.downtime = num_or(e, "downtime", 5.0);
+        ev.fraction = e.number_at("fraction", 0.0);
+        ev.count = static_cast<std::uint32_t>(e.number_at("count", 0.0));
+        ev.downtime = e.number_at("downtime", 5.0);
         if (ev.count == 0 && !(ev.fraction > 0.0 && ev.fraction <= 1.0)) {
           fail(error,
                at_event + "reboot needs \"count\" or \"fraction\" in (0,1]");
@@ -163,8 +158,8 @@ std::optional<FaultPlan> FaultPlan::parse(const common::JsonValue& doc,
           return std::nullopt;
         }
         ev.axis = axis_name == "y" ? 'y' : 'x';
-        ev.threshold = num_or(e, "threshold", 0.0);
-        ev.until = num_or(e, "until", 0.0);
+        ev.threshold = e.number_at("threshold", 0.0);
+        ev.until = e.number_at("until", 0.0);
         if (ev.until <= ev.at) {
           fail(error, at_event + "partition \"until\" must be > \"at\"");
           return std::nullopt;
@@ -172,8 +167,8 @@ std::optional<FaultPlan> FaultPlan::parse(const common::JsonValue& doc,
         break;
       }
       case FaultEvent::Kind::kCorruption: {
-        ev.ber = num_or(e, "ber", 0.0);
-        ev.until = num_or(e, "until", 0.0);
+        ev.ber = e.number_at("ber", 0.0);
+        ev.until = e.number_at("until", 0.0);
         if (!(ev.ber > 0.0 && ev.ber < 1.0)) {
           fail(error, at_event + "\"ber\" must be in (0,1)");
           return std::nullopt;
@@ -185,7 +180,7 @@ std::optional<FaultPlan> FaultPlan::parse(const common::JsonValue& doc,
         break;
       }
       case FaultEvent::Kind::kSinkOutage: {
-        ev.downtime = num_or(e, "downtime", 5.0);
+        ev.downtime = e.number_at("downtime", 5.0);
         if (ev.downtime <= 0.0) {
           fail(error, at_event + "\"downtime\" must be > 0");
           return std::nullopt;

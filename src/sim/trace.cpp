@@ -1,5 +1,8 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
+#include <charconv>
+
 #include "common/json.hpp"
 
 namespace decor::sim {
@@ -50,6 +53,78 @@ std::string trace_record_json(const TraceRecord& r) {
   out += common::json_escape(r.detail);
   out += "\"}";
   return out;
+}
+
+TraceDetail parse_trace_detail(std::string_view detail) noexcept {
+  TraceDetail d;
+  d.crc = detail.starts_with("crc ");
+  if (d.crc) detail.remove_prefix(4);
+  // Reads "<key><number>" off the front of `detail` into `out`; leaves
+  // `out` as it is when the text does not match.
+  const auto take = [&detail](std::string_view key, auto& out) {
+    if (!detail.starts_with(key)) return;
+    const char* end = detail.data() + detail.size();
+    const auto r = std::from_chars(detail.data() + key.size(), end, out);
+    if (r.ec == std::errc()) {
+      detail.remove_prefix(static_cast<std::size_t>(r.ptr - detail.data()));
+    }
+  };
+  take("kind=", d.kind);
+  take(" from=", d.from);
+  return d;
+}
+
+std::optional<TraceRecord> trace_record_from_json(
+    const common::JsonValue& row) {
+  const std::string& kind = row.string_at("kind");
+  // kReboot is the last kind.
+  for (int k = 0; k <= static_cast<int>(TraceKind::kReboot); ++k) {
+    if (kind != trace_kind_name(static_cast<TraceKind>(k))) continue;
+    return TraceRecord{row.number_at("t"),
+                       static_cast<TraceKind>(k),
+                       row.number_at<std::uint32_t>("node"),
+                       row.string_at("detail"),
+                       row.number_at<std::uint64_t>("trace"),
+                       row.number_at<std::uint64_t>("seq")};
+  }
+  return std::nullopt;
+}
+
+const char* trace_leg_name(TraceLeg leg) noexcept {
+  static constexpr const char* kNames[] = {
+      "", "send", "retransmit", "forward", "ack", "rx", "ack-rx", "drop"};
+  return kNames[static_cast<int>(leg)];
+}
+
+TraceLeg ExchangeTracker::add(const TraceRecord& r) {
+  if (r.trace_id == 0 || (r.kind != TraceKind::kTx &&
+                          r.kind != TraceKind::kRx &&
+                          r.kind != TraceKind::kDrop)) {
+    return TraceLeg::kNone;
+  }
+  const auto [it, fresh] = exchanges_.try_emplace(r.trace_id);
+  TraceExchange& ex = it->second;
+  if (fresh) ex.first_t = ex.last_t = r.at;
+  ex.last_t = std::max(ex.last_t, r.at);
+  if (r.kind == TraceKind::kDrop) return TraceLeg::kDrop;
+  const int kind = parse_trace_detail(r.detail).kind;
+  if (r.kind == TraceKind::kRx) {
+    return kind == ack_kind_ ? TraceLeg::kAckRx : TraceLeg::kRx;
+  }
+  if (!ex.has_origin) {
+    ex.has_origin = true;
+    ex.origin = r.node;
+    ex.kind = kind;
+    return TraceLeg::kSend;
+  }
+  if (kind == ack_kind_) {
+    ex.acked = true;
+    return TraceLeg::kAck;
+  }
+  if (r.node != ex.origin) return TraceLeg::kForward;
+  // The origin sending its frame again: an ARQ retransmission.
+  ++ex.retransmits;
+  return TraceLeg::kRetransmit;
 }
 
 void Trace::record(Time at, TraceKind kind, std::uint32_t node,

@@ -6,15 +6,24 @@
 // record), and a bounded ring buffer (`set_capacity`) that keeps only the
 // most recent records — long protocol runs stay at a fixed footprint.
 // Independently of the in-memory buffer, `open_jsonl` streams every
-// record to disk as one JSON object per line.
+// record to disk as one JSON object per line. The reading side turns such
+// a dump back into records (trace_record_from_json) and message
+// exchanges (ExchangeTracker) for every consumer.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/telemetry.hpp"
 #include "sim/event_queue.hpp"
+
+namespace decor::common {
+class JsonValue;
+}
 
 namespace decor::sim {
 
@@ -50,6 +59,78 @@ struct TraceRecord {
   /// on record(). Survives ring-buffer wraparound, so a JSONL dump or the
   /// ring contents are order-verifiable after the fact.
   std::uint64_t seq = 0;
+};
+
+// --- reading traces back ---------------------------------------------------
+
+/// The fields of a radio record's detail text: "kind=N", "kind=N from=M"
+/// or "crc kind=N from=M". kind and from are -1 when absent.
+struct TraceDetail {
+  int kind = -1;
+  std::int64_t from = -1;
+  bool crc = false;
+};
+
+/// The one parser of the radio's detail text; any other detail
+/// ("converged", "dead-peer=7") yields the defaults.
+TraceDetail parse_trace_detail(std::string_view detail) noexcept;
+
+/// The reader twin of trace_record_json: the record a parsed trace JSONL
+/// row holds, or nullopt when the row names no known kind (a schema
+/// header or a foreign line).
+std::optional<TraceRecord> trace_record_from_json(
+    const common::JsonValue& row);
+
+/// What one record is to its message exchange.
+enum class TraceLeg {
+  kNone,  // no causality id, or not a tx/rx/drop record
+  kSend,  // the exchange's first transmission
+  kRetransmit,
+  kForward,
+  kAck,
+  kRx,
+  kAckRx,
+  kDrop,
+};
+
+/// Lowercase leg name ("send", "ack-rx", ...), as the Perfetto export
+/// labels its span events; "" for kNone.
+const char* trace_leg_name(TraceLeg leg) noexcept;
+
+/// One message exchange: the tx/rx/drop records sharing a causality id.
+struct TraceExchange {
+  Time first_t = 0.0;
+  Time last_t = 0.0;
+  /// The first transmitter, once a tx was seen.
+  bool has_origin = false;
+  std::uint32_t origin = 0;
+  /// Message kind of the first transmission.
+  int kind = -1;
+  /// Later non-ack transmissions by the origin.
+  std::uint64_t retransmits = 0;
+  /// Some node transmitted an ack on the exchange.
+  bool acked = false;
+};
+
+/// Folds records, in time order, into one exchange per causality id and
+/// decides each record's leg. The Perfetto export, `decor explain` and
+/// `decor trace report` all classify legs here, so they agree.
+class ExchangeTracker {
+ public:
+  /// `ack_kind` is the link-layer acknowledgement's message kind (-1
+  /// when the run has no ARQ layer).
+  explicit ExchangeTracker(int ack_kind) : ack_kind_(ack_kind) {}
+
+  TraceLeg add(const TraceRecord& r);
+
+  /// Exchanges by causality id.
+  const std::map<std::uint64_t, TraceExchange>& exchanges() const noexcept {
+    return exchanges_;
+  }
+
+ private:
+  int ack_kind_;
+  std::map<std::uint64_t, TraceExchange> exchanges_;
 };
 
 /// In-memory trace with optional recording (disabled by default; recording

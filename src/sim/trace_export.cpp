@@ -1,8 +1,9 @@
 #include "sim/trace_export.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/json.hpp"
 
@@ -46,25 +47,19 @@ void write_instant(std::ostream& os, const std::string& name, Time at,
 
 }  // namespace
 
-int parse_detail_kind(const std::string& detail) noexcept {
-  if (detail.rfind("kind=", 0) != 0) return -1;
-  return std::atoi(detail.c_str() + 5);
-}
-
 void write_chrome_trace(const std::vector<TraceRecord>& records,
                         std::ostream& os, const MsgKindNamer& namer,
                         int ack_kind) {
-  // Group the message-lifecycle records by causality id (insertion order
-  // preserved — the input is chronological, so the first tx of a group is
-  // the originating send).
-  std::map<std::uint64_t, std::vector<const TraceRecord*>> spans;
+  // Fold the message records into exchanges (the input is chronological)
+  // and keep each exchange's records with their legs.
+  ExchangeTracker tracker(ack_kind);
+  std::map<std::uint64_t, std::vector<std::pair<const TraceRecord*, TraceLeg>>>
+      spans;
   std::set<std::uint32_t> nodes;
   for (const auto& r : records) {
     nodes.insert(r.node);
-    const bool msg_record = r.kind == TraceKind::kTx ||
-                            r.kind == TraceKind::kRx ||
-                            r.kind == TraceKind::kDrop;
-    if (msg_record && r.trace_id != 0) spans[r.trace_id].push_back(&r);
+    const TraceLeg leg = tracker.add(r);
+    if (leg != TraceLeg::kNone) spans[r.trace_id].emplace_back(&r, leg);
   }
 
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
@@ -76,47 +71,26 @@ void write_chrome_trace(const std::vector<TraceRecord>& records,
   }
 
   for (const auto& [trace_id, group] : spans) {
-    // The origin is the first transmitter; a group with no tx at all
-    // (ring wraparound ate the send) is anchored at its first record.
-    const TraceRecord* first_tx = nullptr;
-    for (const auto* r : group) {
-      if (r->kind == TraceKind::kTx) {
-        first_tx = r;
-        break;
-      }
-    }
-    const TraceRecord* anchor = first_tx ? first_tx : group.front();
-    const std::uint32_t origin = anchor->node;
-    const int kind = parse_detail_kind(anchor->detail);
+    // The span opens at the send; a group with no tx at all (ring
+    // wraparound ate the send) is anchored at its first record.
+    const auto send = std::find_if(group.begin(), group.end(), [](auto& e) {
+      return e.second == TraceLeg::kSend;
+    });
+    const TraceRecord* anchor =
+        send != group.end() ? send->first : group.front().first;
+    const int kind = parse_trace_detail(anchor->detail).kind;
     std::string name =
         namer && kind >= 0 ? namer(kind) : "kind-" + std::to_string(kind);
 
-    write_span_event(os, name, trace_id, 'b', anchor->at, origin, "send");
-    for (const auto* r : group) {
+    write_span_event(os, name, trace_id, 'b', anchor->at, anchor->node,
+                     "send");
+    for (const auto& [r, leg] : group) {
       if (r == anchor) continue;
-      const int rk = parse_detail_kind(r->detail);
-      const char* leg = "rx";
-      switch (r->kind) {
-        case TraceKind::kTx:
-          if (rk == ack_kind) {
-            leg = "ack";
-          } else {
-            leg = r->node == origin ? "retransmit" : "forward";
-          }
-          break;
-        case TraceKind::kRx:
-          leg = rk == ack_kind ? "ack-rx" : "rx";
-          break;
-        case TraceKind::kDrop:
-          leg = "drop";
-          break;
-        default:
-          break;
-      }
-      write_span_event(os, name, trace_id, 'n', r->at, r->node, leg);
+      write_span_event(os, name, trace_id, 'n', r->at, r->node,
+                       trace_leg_name(leg));
     }
-    write_span_event(os, name, trace_id, 'e', group.back()->at, origin,
-                     "end");
+    write_span_event(os, name, trace_id, 'e', group.back().first->at,
+                     anchor->node, "end");
   }
 
   for (const auto& r : records) {

@@ -5,9 +5,9 @@
 // Perfetto's UI opens directly): one process track per node, one async
 // span per causality id covering the whole message lifecycle
 // (send -> retransmit* -> rx -> ack), and instant events for spawns,
-// kills and protocol milestones. Each event is written on its own line so
-// downstream tooling (decor trace report) can consume the file with a
-// line-oriented reader instead of a full JSON parser.
+// kills and protocol milestones. Each event is written on its own line,
+// so `decor trace report` parses the file one event at a time and a
+// truncated export still reads up to its last whole line.
 #pragma once
 
 #include <functional>
@@ -25,15 +25,11 @@ namespace decor::sim {
 using MsgKindNamer = std::function<std::string(int)>;
 
 /// Writes `records` (chronological order expected — Trace::chronological)
-/// as a trace_event JSON document. `ack_kind` identifies the link-layer
-/// acknowledgement kind so return legs are labelled "ack"; pass -1 if the
-/// run has no ARQ layer.
+/// as a trace_event JSON document, legs as ExchangeTracker decides them.
+/// `ack_kind` identifies the link-layer acknowledgement kind so return
+/// legs are labelled "ack"; pass -1 if the run has no ARQ layer.
 void write_chrome_trace(const std::vector<TraceRecord>& records,
                         std::ostream& os, const MsgKindNamer& namer = {},
                         int ack_kind = -1);
-
-/// Parses the "kind=N" prefix convention of tx/rx/drop details; returns
-/// -1 when absent.
-int parse_detail_kind(const std::string& detail) noexcept;
 
 }  // namespace decor::sim

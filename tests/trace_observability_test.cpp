@@ -85,7 +85,7 @@ TEST(TraceCausality, LossyRunSharesTraceIdAcrossRetransmitsAndAcks) {
     ASSERT_NE(r.trace_id, 0u) << "every transmitted frame is stamped";
     ++stamped_msgs;
     auto& g = groups[r.trace_id];
-    const int kind = sim::parse_detail_kind(r.detail);
+    const int kind = sim::parse_trace_detail(r.detail).kind;
     ASSERT_GE(kind, 0);
     if (kind == net::kAck) {
       ++g.acks_tx;
@@ -152,9 +152,23 @@ TEST(TraceSeq, JsonlCarriesSeqAndTraceId) {
 }
 
 TEST(TraceExport, ParseDetailKind) {
-  EXPECT_EQ(sim::parse_detail_kind("kind=5"), 5);
-  EXPECT_EQ(sim::parse_detail_kind("kind=9 from=3"), 9);
-  EXPECT_EQ(sim::parse_detail_kind("converged"), -1);
+  EXPECT_EQ(sim::parse_trace_detail("kind=5").kind, 5);
+  EXPECT_EQ(sim::parse_trace_detail("kind=5").from, -1);
+  EXPECT_EQ(sim::parse_trace_detail("kind=9 from=3").kind, 9);
+  EXPECT_EQ(sim::parse_trace_detail("kind=9 from=3").from, 3);
+  EXPECT_EQ(sim::parse_trace_detail("kind=4 from=2").kind, 4);
+  EXPECT_EQ(sim::parse_trace_detail("kind=4 from=2").from, 2);
+  EXPECT_FALSE(sim::parse_trace_detail("kind=4 from=2").crc);
+  const auto crc = sim::parse_trace_detail("crc kind=9 from=3");
+  EXPECT_TRUE(crc.crc);
+  EXPECT_EQ(crc.kind, 9);
+  EXPECT_EQ(crc.from, 3);
+  for (const char* other : {"dead-peer=7", "converged"}) {
+    const auto d = sim::parse_trace_detail(other);
+    EXPECT_EQ(d.kind, -1) << other;
+    EXPECT_EQ(d.from, -1) << other;
+    EXPECT_FALSE(d.crc) << other;
+  }
 }
 
 // --- open_jsonl failure surfacing ------------------------------------------
@@ -244,13 +258,8 @@ TEST(TraceExport, ChromeTraceSpansThreadAcrossNodeTracks) {
   ASSERT_TRUE(harness.run().reached_full_coverage);
 
   std::ostringstream os;
-  sim::write_chrome_trace(
-      harness.world().trace().chronological(), os,
-      [](int kind) -> std::string {
-        const char* n = net::msg_kind_name(kind);
-        return n ? n : "kind-" + std::to_string(kind);
-      },
-      net::kAck);
+  sim::write_chrome_trace(harness.world().trace().chronological(), os,
+                          net::msg_kind_label, net::kAck);
   const std::string doc = os.str();
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"b\""), std::string::npos);

@@ -1,8 +1,10 @@
 # Observability smoke: a lossy sim run with --trace-perfetto must emit a
 # Perfetto-loadable trace_event document, `decor trace report` must parse
-# both the Perfetto document and the raw trace JSONL, and an unopenable
-# --trace-jsonl sink must fail the run with a nonzero exit (not a silent
-# empty artifact).
+# both the Perfetto document and the raw trace JSONL and report the same
+# exchanges from either (every line but the input path and the record
+# count, which counts Perfetto's span-end and instant events too), with
+# the ARQ's own retransmission count, and an unopenable --trace-jsonl sink
+# must fail the run with a nonzero exit (not a silent empty artifact).
 #
 # Invoked by ctest as:
 #   cmake -DBIN=<decor_cli> -DOUT=<scratch dir> -P trace_smoke.cmake
@@ -21,7 +23,7 @@ execute_process(
           --k=1 --loss=0.3 --seed=7 --trace-perfetto=${perfetto}
           --trace-jsonl=${jsonl} --timeline=1 --timeline-jsonl=${timeline}
   RESULT_VARIABLE rc
-  OUTPUT_QUIET)
+  OUTPUT_VARIABLE sim_out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "decor_cli sim --trace-perfetto failed (rc=${rc})")
 endif()
@@ -64,7 +66,29 @@ foreach(dump ${perfetto} ${jsonl})
       message(FATAL_ERROR "trace report on ${dump} is missing '${needle}'")
     endif()
   endforeach()
+  # Drop the path line and the record count before comparing.
+  string(REGEX REPLACE "^trace report: [^\n]*\n" "" report "${report}")
+  string(REGEX REPLACE "records: [0-9]+," "records:," report "${report}")
+  if(dump STREQUAL perfetto)
+    set(perfetto_report "${report}")
+  else()
+    set(jsonl_report "${report}")
+  endif()
 endforeach()
+if(NOT perfetto_report STREQUAL jsonl_report)
+  message(FATAL_ERROR "trace report disagrees between the Perfetto export "
+                      "and the JSONL dump:\n${perfetto_report}\n---\n"
+                      "${jsonl_report}")
+endif()
+
+# Both count exactly the ARQ's retransmissions.
+string(REGEX MATCH "arq retx=([0-9]+)" _ "${sim_out}")
+set(arq_retx ${CMAKE_MATCH_1})
+string(REGEX MATCH "retransmits: ([0-9]+)" _ "${jsonl_report}")
+if(arq_retx STREQUAL "" OR NOT CMAKE_MATCH_1 STREQUAL arq_retx)
+  message(FATAL_ERROR "trace report counts ${CMAKE_MATCH_1} retransmits, "
+                      "decor sim printed arq retx=${arq_retx}")
+endif()
 
 # A truncated tail (crash mid-write) must be skipped and counted, never
 # fatal: append a garbled line and expect a clean report that says so.

@@ -32,6 +32,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -60,6 +61,7 @@
 #include "net/peas.hpp"
 #include "sim/fault.hpp"
 #include "sim/propagation.hpp"
+#include "sim/trace.hpp"
 #include "sim/trace_export.hpp"
 
 namespace {
@@ -343,13 +345,8 @@ bool export_perfetto(const std::string& path, const sim::Trace& trace) {
     std::cerr << "error: cannot write " << path << "\n";
     return false;
   }
-  sim::write_chrome_trace(
-      trace.chronological(), f,
-      [](int kind) -> std::string {
-        const char* n = net::msg_kind_name(kind);
-        return n ? n : "kind-" + std::to_string(kind);
-      },
-      net::kAck);
+  sim::write_chrome_trace(trace.chronological(), f, net::msg_kind_label,
+                          net::kAck);
   std::cout << "perfetto trace: " << path << "\n";
   return true;
 }
@@ -789,38 +786,13 @@ int cmd_connectivity(const common::Options& opts, CliReport& rep) {
   return 0;
 }
 
-/// Extracts the raw value of `"key":` from a single-line JSON object
-/// (strings are unquoted and unescaped, numbers returned verbatim). Good
-/// enough for the repo's own writers, which emit one object per line.
-bool json_field(const std::string& line, const std::string& key,
-                std::string& out) {
-  const std::string pat = "\"" + key + "\":";
-  const auto p = line.find(pat);
-  if (p == std::string::npos) return false;
-  std::size_t i = p + pat.size();
-  if (i >= line.size()) return false;
-  if (line[i] == '"') {
-    std::string s;
-    for (std::size_t j = i + 1; j < line.size() && line[j] != '"'; ++j) {
-      if (line[j] == '\\' && j + 1 < line.size()) ++j;
-      s += line[j];
-    }
-    out = std::move(s);
-    return true;
-  }
-  std::size_t j = i;
-  while (j < line.size() && line[j] != ',' && line[j] != '}') ++j;
-  out = line.substr(i, j - i);
-  return true;
-}
-
 /// `decor trace report <dump>` — reconstructs protocol-level statistics
 /// (per-kind send counts, retransmit ratio, convergence time, slowest
-/// exchanges) from a trace dump alone: either a decor trace JSONL file
-/// (--trace-jsonl / flight-recorder trace.jsonl) or a Perfetto export
-/// (--trace-perfetto). The format is sniffed from the first line. A run
-/// directory is also accepted: the shared artifact loader classifies its
-/// files and the trace artifact is reported.
+/// exchanges) from a trace dump alone. A run directory or a decor trace
+/// JSONL file (--trace-jsonl / flight-recorder trace.jsonl) is read
+/// through the shared artifact loader and sim::ExchangeTracker; a
+/// Perfetto export (--trace-perfetto) already carries the tracker's legs
+/// on its span events. The file format is sniffed from the first line.
 int cmd_trace_report(const common::Options& opts, CliReport& rep) {
   std::string path = opts.get("in", "");
   const auto& pos = opts.positional();
@@ -832,34 +804,37 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
                  "[--top=N]\n";
     return 1;
   }
+  core::Artifact jsonl;
+  std::ifstream f;
+  bool chrome = false;
   std::error_code dir_ec;
   if (std::filesystem::is_directory(path, dir_ec)) {
-    const auto artifacts = core::load_run_artifacts(path, "trace report");
-    const core::Artifact* trace = nullptr;
-    for (const auto& a : artifacts) {
-      if (a.kind == "trace") {
-        trace = &a;
-        break;
-      }
-    }
-    if (trace == nullptr) {
+    auto artifacts = core::load_run_artifacts(path, "trace report");
+    const auto trace =
+        std::find_if(artifacts.begin(), artifacts.end(),
+                     [](const core::Artifact& a) { return a.kind == "trace"; });
+    if (trace == artifacts.end()) {
       std::cerr << "error: " << path << " holds no trace artifact\n";
       return 1;
     }
     path = (std::filesystem::path(path) / trace->rel).string();
-  }
-  std::ifstream f(path);
-  if (!f.is_open()) {
-    std::cerr << "error: cannot open " << path << "\n";
-    return 1;
+    jsonl = std::move(*trace);
+  } else {
+    f.open(path);
+    if (!f.is_open()) {
+      std::cerr << "error: cannot open " << path << "\n";
+      return 1;
+    }
+    std::string first;
+    std::getline(f, first);
+    chrome = first.find("\"traceEvents\"") != std::string::npos;
+    if (!chrome) jsonl = core::load_jsonl_artifact(path, path);
   }
 
   struct Span {
     double first_t = 0.0;
     double last_t = 0.0;
-    std::uint64_t origin = 0;
-    bool started = false;      // saw any record (anchors first_t)
-    bool have_origin = false;  // saw the originating tx
+    bool started = false;  // saw any record (anchors first_t)
     std::string name;
     std::uint64_t retransmits = 0;
     bool acked = false;  // saw an ack leg: evidence the exchange was ARQed
@@ -867,111 +842,80 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
   std::map<std::uint64_t, Span> spans;
   std::map<std::string, std::uint64_t> kind_counts;
   std::uint64_t records = 0, retransmits = 0, acks = 0, drops = 0;
-  std::uint64_t malformed = 0;
+  std::uint64_t malformed = jsonl.malformed;
   double convergence = -1.0;
-  bool chrome = false;
-  bool first_line = true;
-  std::string line;
 
-  auto touch = [](Span& s, double t) {
+  // Folds one leg of exchange `tid`; `name` labels the exchange at its
+  // send leg.
+  auto fold = [&](std::uint64_t tid, double t, std::string_view leg,
+                  const std::string& name) {
+    Span& s = spans[tid];
     if (!s.started) {
       s.started = true;
-      s.first_t = t;
-      s.last_t = t;
+      s.first_t = s.last_t = t;
     }
     s.last_t = std::max(s.last_t, t);
+    if (leg == sim::trace_leg_name(sim::TraceLeg::kSend)) {
+      s.name = name;
+      ++kind_counts[name];
+    } else if (leg == sim::trace_leg_name(sim::TraceLeg::kRetransmit)) {
+      ++s.retransmits;
+      ++retransmits;
+    } else if (leg == sim::trace_leg_name(sim::TraceLeg::kAck)) {
+      ++acks;
+      s.acked = true;
+    } else if (leg == sim::trace_leg_name(sim::TraceLeg::kDrop)) {
+      ++drops;
+    }
   };
 
-  while (std::getline(f, line)) {
-    if (first_line) {
-      first_line = false;
-      chrome = line.find("\"traceEvents\"") != std::string::npos;
-      if (chrome) continue;
-    }
-    if (chrome) {
-      std::string ph;
-      if (!json_field(line, "ph", ph) || ph == "M") continue;
-      ++records;
-      std::string name, ts_s;
-      json_field(line, "name", name);
-      json_field(line, "ts", ts_s);
-      const double t = std::strtod(ts_s.c_str(), nullptr) / 1e6;
-      if (ph == "i") {
-        if (name == "converged" && convergence < 0.0) convergence = t;
-        continue;
-      }
-      std::string id_s;
-      if (!json_field(line, "global", id_s)) continue;
-      auto& s = spans[std::strtoull(id_s.c_str(), nullptr, 10)];
-      touch(s, t);
-      if (ph == "b") {
-        s.have_origin = true;
-        s.name = name;
-        ++kind_counts[name];
-      }
-      std::string leg;
-      json_field(line, "leg", leg);
-      if (leg == "retransmit") {
-        ++s.retransmits;
-        ++retransmits;
-      } else if (leg == "ack") {
-        ++acks;
-        s.acked = true;
-      } else if (leg == "drop") {
-        ++drops;
-      }
-    } else {
-      // A trace dump survives crashes and kills, so its tail can hold a
-      // truncated or garbled line. Parse each line for real; whatever
-      // does not parse is skipped and counted, never fatal.
-      const auto parsed = common::parse_json(line);
-      if (!parsed) {
+  if (chrome) {
+    // The writer puts one event on each line, so events parse one at a
+    // time and a truncated export still reads up to its last whole line.
+    std::string line;
+    while (std::getline(f, line)) {
+      std::string_view text = line;
+      if (text.ends_with(',')) text.remove_suffix(1);
+      if (text == "]}") continue;  // the document's closing line
+      const auto ev = common::parse_json(text);
+      if (!ev) {
         ++malformed;
         continue;
       }
-      const auto* kind_v = parsed->find("kind");
-      if (kind_v == nullptr || !kind_v->is_string()) {
-        continue;  // schema-less header or foreign record
-      }
+      const std::string& ph = ev->string_at("ph");
+      if (ph.empty() || ph == "M") continue;
       ++records;
-      const std::string& kind_s = kind_v->as_string();
-      const auto* t_v = parsed->find("t");
-      const double t = t_v != nullptr ? t_v->as_number() : 0.0;
-      const auto* detail_v = parsed->find("detail");
-      const std::string detail =
-          detail_v != nullptr ? detail_v->as_string() : std::string();
-      if (kind_s == "protocol") {
-        if (detail == "converged" && convergence < 0.0) convergence = t;
+      const double t = ev->number_at("ts") / 1e6;
+      if (ph == "i") {
+        if (ev->string_at("name") == "converged" && convergence < 0.0) {
+          convergence = t;
+        }
         continue;
       }
-      const auto* trace_v = parsed->find("trace");
-      const auto tid = static_cast<std::uint64_t>(
-          trace_v != nullptr ? trace_v->as_number() : 0.0);
-      if (tid == 0) continue;  // pre-causality or unstamped record
-      auto& s = spans[tid];
-      touch(s, t);
-      if (kind_s == "drop") ++drops;
-      if (kind_s != "tx") continue;
-      const int mk = sim::parse_detail_kind(detail);
-      if (mk == net::kAck) {
-        ++acks;
-        s.acked = true;
-        continue;
+      const auto* id = ev->get("id2", "global");
+      if (id == nullptr) continue;
+      const auto* leg = ev->get("args", "leg");
+      fold(std::strtoull(id->as_string().c_str(), nullptr, 10), t,
+           leg != nullptr ? leg->as_string() : "", ev->string_at("name"));
+    }
+  } else {
+    // A trace dump survives crashes and kills, so its tail can hold a
+    // truncated or garbled line; the loader skips and counts it.
+    sim::ExchangeTracker tracker(net::kAck);
+    for (const auto& row : jsonl.records) {
+      const auto r = sim::trace_record_from_json(row);
+      if (!r) continue;  // schema-less header or foreign record
+      ++records;
+      if (r->kind == sim::TraceKind::kProtocol && r->detail == "converged" &&
+          convergence < 0.0) {
+        convergence = r->at;
       }
-      const auto* node_v = parsed->find("node");
-      const auto node = static_cast<std::uint64_t>(
-          node_v != nullptr ? node_v->as_number() : 0.0);
-      if (!s.have_origin) {
-        s.have_origin = true;
-        s.origin = node;
-        const char* n = net::msg_kind_name(mk);
-        s.name = n ? n : "kind-" + std::to_string(mk);
-        ++kind_counts[s.name];
-      } else if (node == s.origin) {
-        // Same frame leaving the origin again: an ARQ retransmission.
-        ++s.retransmits;
-        ++retransmits;
-      }
+      const sim::TraceLeg leg = tracker.add(*r);
+      if (leg == sim::TraceLeg::kNone) continue;
+      fold(r->trace_id, r->at, sim::trace_leg_name(leg),
+           leg == sim::TraceLeg::kSend
+               ? net::msg_kind_label(tracker.exchanges().at(r->trace_id).kind)
+               : std::string());
     }
   }
   // A dump with zero parseable records is a *warning*, not an error: a
