@@ -9,11 +9,13 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -107,11 +109,20 @@ class JsonValue {
   /// First member named `key`, or nullptr (also for non-objects).
   const JsonValue* find(std::string_view key) const noexcept;
   /// Member `key` as a number converted to T; `def` when the member is
-  /// absent or not a number.
+  /// absent, not a number, or (integral T) outside T's range, where the
+  /// conversion would be undefined.
   template <typename T = double>
   T number_at(std::string_view key, T def = T{}) const noexcept {
     const JsonValue* v = find(key);
-    return v != nullptr && v->is_number() ? static_cast<T>(v->num_) : def;
+    if (v == nullptr || !v->is_number()) return def;
+    if constexpr (std::is_integral_v<T>) {
+      // [min, max + 1), both bounds exact in a double.
+      constexpr auto lo = static_cast<double>(std::numeric_limits<T>::min());
+      constexpr double hi =
+          2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+      if (!(v->num_ >= lo && v->num_ < hi)) return def;
+    }
+    return static_cast<T>(v->num_);
   }
   /// Member `key` as a string; empty when absent or not a string.
   const std::string& string_at(std::string_view key) const noexcept {

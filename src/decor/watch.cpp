@@ -109,7 +109,7 @@ bool DashboardState::ingest(std::string_view stream, std::string_view line) {
     // Header line: the field header carries the raster geometry; the
     // timeline/metrics/audit headers carry nothing the dashboard needs.
     if (stream == "field") {
-      k_ = static_cast<std::uint32_t>(doc->number_at<std::uint64_t>("k"));
+      k_ = doc->number_at<std::uint32_t>("k");
       field_cols_ = doc->number_at<std::size_t>("cols");
       field_rows_ = doc->number_at<std::size_t>("rows");
     }

@@ -72,18 +72,19 @@ void write_chrome_trace(const std::vector<TraceRecord>& records,
 
   for (const auto& [trace_id, group] : spans) {
     // The span opens at the send; a group with no tx at all (ring
-    // wraparound ate the send) is anchored at its first record.
+    // wraparound ate the send) opens at its first record, under that
+    // record's own leg.
     const auto send = std::find_if(group.begin(), group.end(), [](auto& e) {
       return e.second == TraceLeg::kSend;
     });
-    const TraceRecord* anchor =
-        send != group.end() ? send->first : group.front().first;
+    const auto& [anchor, anchor_leg] =
+        send != group.end() ? *send : group.front();
     const int kind = parse_trace_detail(anchor->detail).kind;
     std::string name =
         namer && kind >= 0 ? namer(kind) : "kind-" + std::to_string(kind);
 
     write_span_event(os, name, trace_id, 'b', anchor->at, anchor->node,
-                     "send");
+                     trace_leg_name(anchor_leg));
     for (const auto& [r, leg] : group) {
       if (r == anchor) continue;
       write_span_event(os, name, trace_id, 'n', r->at, r->node,

@@ -158,6 +158,26 @@ TEST(ParseJson, RejectsMalformedInput) {
   EXPECT_FALSE(parse_json("\"unterminated").has_value());
 }
 
+TEST(ParseJson, MemberAccessorsFallBackToDefaults) {
+  const auto v = decor::common::parse_json(
+      "{\"n\":7,\"neg\":-1,\"big\":1e30,\"u32\":4294967296,"
+      "\"s\":\"x\"}");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_DOUBLE_EQ(v->number_at("n"), 7.0);
+  EXPECT_EQ(v->number_at<std::uint64_t>("n"), 7u);
+  EXPECT_EQ(v->number_at<std::int64_t>("neg"), -1);
+  EXPECT_EQ(v->number_at<std::uint64_t>("u32"), 4294967296u);
+  // Absent, non-numeric, and out of the target type's range: the default.
+  EXPECT_DOUBLE_EQ(v->number_at("missing", 2.5), 2.5);
+  EXPECT_DOUBLE_EQ(v->number_at("s", 2.5), 2.5);
+  EXPECT_EQ(v->number_at<std::uint64_t>("neg", 9), 9u);
+  EXPECT_EQ(v->number_at<std::uint64_t>("big", 9), 9u);
+  EXPECT_EQ(v->number_at<std::uint32_t>("u32", 9), 9u);
+  EXPECT_EQ(v->string_at("s"), "x");
+  EXPECT_EQ(v->string_at("n"), "");
+  EXPECT_EQ(v->string_at("missing"), "");
+}
+
 TEST(ParseJson, RoundTripsOwnWriters) {
   // The repo's own JSONL lines must parse back: this is what the robust
   // trace report and the HTML renderer rely on.

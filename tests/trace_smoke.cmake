@@ -3,8 +3,9 @@
 # both the Perfetto document and the raw trace JSONL and report the same
 # exchanges from either (every line but the input path and the record
 # count, which counts Perfetto's span-end and instant events too), with
-# the ARQ's own retransmission count, and an unopenable --trace-jsonl sink
-# must fail the run with a nonzero exit (not a silent empty artifact).
+# the ARQ's own retransmission count, also on a wrapped trace ring, and
+# an unopenable --trace-jsonl sink must fail the run with a nonzero exit
+# (not a silent empty artifact).
 #
 # Invoked by ctest as:
 #   cmake -DBIN=<decor_cli> -DOUT=<scratch dir> -P trace_smoke.cmake
@@ -51,35 +52,40 @@ if(pos EQUAL -1)
   message(FATAL_ERROR "${jsonl} has no seq-stamped records")
 endif()
 
-# `trace report` must reconstruct the run from either artifact alone.
-foreach(dump ${perfetto} ${jsonl})
-  execute_process(
-    COMMAND ${BIN} trace report ${dump}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE report)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "decor_cli trace report ${dump} failed (rc=${rc})")
-  endif()
-  foreach(needle "records:" "retransmits:")
-    string(FIND "${report}" "${needle}" pos)
-    if(pos EQUAL -1)
-      message(FATAL_ERROR "trace report on ${dump} is missing '${needle}'")
+# `trace report` must reconstruct the run from either artifact alone, and
+# both must report the same exchanges. compare_reports(<perfetto> <jsonl>)
+# checks that and leaves the JSONL report in `jsonl_report`.
+function(compare_reports perfetto jsonl)
+  foreach(dump ${perfetto} ${jsonl})
+    execute_process(
+      COMMAND ${BIN} trace report ${dump}
+      RESULT_VARIABLE rc
+      OUTPUT_VARIABLE report)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "decor_cli trace report ${dump} failed (rc=${rc})")
+    endif()
+    foreach(needle "records:" "retransmits:")
+      string(FIND "${report}" "${needle}" pos)
+      if(pos EQUAL -1)
+        message(FATAL_ERROR "trace report on ${dump} is missing '${needle}'")
+      endif()
+    endforeach()
+    # Drop the path line and the record count before comparing.
+    string(REGEX REPLACE "^trace report: [^\n]*\n" "" report "${report}")
+    string(REGEX REPLACE "records: [0-9]+," "records:," report "${report}")
+    if(dump STREQUAL perfetto)
+      set(perfetto_report "${report}")
+    else()
+      set(jsonl_report "${report}")
     endif()
   endforeach()
-  # Drop the path line and the record count before comparing.
-  string(REGEX REPLACE "^trace report: [^\n]*\n" "" report "${report}")
-  string(REGEX REPLACE "records: [0-9]+," "records:," report "${report}")
-  if(dump STREQUAL perfetto)
-    set(perfetto_report "${report}")
-  else()
-    set(jsonl_report "${report}")
+  if(NOT perfetto_report STREQUAL jsonl_report)
+    message(FATAL_ERROR "trace report disagrees between ${perfetto} and "
+                        "${jsonl}:\n${perfetto_report}\n---\n${jsonl_report}")
   endif()
-endforeach()
-if(NOT perfetto_report STREQUAL jsonl_report)
-  message(FATAL_ERROR "trace report disagrees between the Perfetto export "
-                      "and the JSONL dump:\n${perfetto_report}\n---\n"
-                      "${jsonl_report}")
-endif()
+  set(jsonl_report "${jsonl_report}" PARENT_SCOPE)
+endfunction()
+compare_reports(${perfetto} ${jsonl})
 
 # Both count exactly the ARQ's retransmissions.
 string(REGEX MATCH "arq retx=([0-9]+)" _ "${sim_out}")
@@ -89,6 +95,22 @@ if(arq_retx STREQUAL "" OR NOT CMAKE_MATCH_1 STREQUAL arq_retx)
   message(FATAL_ERROR "trace report counts ${CMAKE_MATCH_1} retransmits, "
                       "decor sim printed arq retx=${arq_retx}")
 endif()
+
+# The same agreement on a bounded ring that wrapped, so exchanges lost
+# their sends (and some their first tx to an ack): the run stops short of
+# coverage, and the flight bundle's trace.jsonl holds the same ring as the
+# Perfetto export.
+set(ring ${OUT}/ring)
+file(REMOVE_RECURSE ${ring})
+execute_process(
+  COMMAND ${BIN} sim --scheme=voronoi --side=50 --points=600 --initial=5
+          --k=3 --seed=3 --run-time=3 --trace-cap=500
+          --flight-dir=${ring}/flight --trace-perfetto=${ring}/perfetto.json
+  OUTPUT_QUIET ERROR_QUIET)
+if(NOT EXISTS ${ring}/flight/trace.jsonl)
+  message(FATAL_ERROR "the short ring run wrote no flight bundle")
+endif()
+compare_reports(${ring}/perfetto.json ${ring}/flight/trace.jsonl)
 
 # A truncated tail (crash mid-write) must be skipped and counted, never
 # fatal: append a garbled line and expect a clean report that says so.
