@@ -1,5 +1,6 @@
 #include "common/otlp.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -94,10 +95,11 @@ void OtlpSink::on_event(const TelemetryEvent& e) {
 void OtlpSink::ingest_trace(std::string_view line) {
   const auto doc = parse_json(line);
   if (!doc) return;
-  const JsonValue* trace = doc->find("trace");
-  if (!trace || !trace->is_number()) return;
-  const auto id = static_cast<std::uint64_t>(trace->as_number());
+  const auto id = doc->number_at<std::uint64_t>("trace");
   if (id == 0) return;  // untraced record
+  const double t = doc->number_at("t");
+  const auto node = doc->number_at<std::int64_t>("node", -1);
+  const std::string& kind = doc->string_at("kind");
   auto it = spans_.find(id);
   if (it == spans_.end()) {
     if (spans_.size() >= kMaxSpans) {
@@ -106,44 +108,26 @@ void OtlpSink::ingest_trace(std::string_view line) {
     }
     Span s;
     s.trace_id = id;
-    const JsonValue* t = doc->find("t");
-    s.start_t = s.end_t = t ? t->as_number() : 0.0;
-    const JsonValue* node = doc->find("node");
-    s.origin_node = node && node->is_number()
-                        ? static_cast<std::int64_t>(node->as_number())
-                        : -1;
-    const std::string kind =
-        doc->find("kind") ? doc->find("kind")->as_string() : std::string();
-    const std::string detail =
-        doc->find("detail") ? doc->find("detail")->as_string() : std::string();
-    if (namer_) s.name = namer_(kind, detail);
+    s.start_t = s.end_t = t;
+    s.origin_node = node;
+    if (namer_) s.name = namer_(kind, doc->string_at("detail"));
     if (s.name.empty()) s.name = kind.empty() ? "trace" : kind;
     it = spans_.emplace(id, std::move(s)).first;
   }
   Span& s = it->second;
   ++s.records;
-  const JsonValue* t = doc->find("t");
-  if (t) {
-    const double tv = t->as_number();
-    if (tv < s.start_t) s.start_t = tv;
-    if (tv > s.end_t) s.end_t = tv;
-  }
+  s.start_t = std::min(s.start_t, t);
+  s.end_t = std::max(s.end_t, t);
   // Receivers' acks carry the id of the frame they answer and flood
   // forwards keep the flood's id, so only the origin's transmissions
   // count: the first is the send, every later one replays its frame.
-  const JsonValue* kind_rec = doc->find("kind");
-  const JsonValue* node = doc->find("node");
-  if (kind_rec && kind_rec->as_string() == "tx" && node &&
-      static_cast<std::int64_t>(node->as_number()) == s.origin_node) {
-    ++s.origin_tx;
-  }
+  if (kind == "tx" && node >= 0 && node == s.origin_node) ++s.origin_tx;
 }
 
 void OtlpSink::ingest_metrics(std::string_view line) {
   const auto doc = parse_json(line);
   if (!doc) return;
-  const JsonValue* t = doc->find("t");
-  const double tv = t ? t->as_number() : 0.0;
+  const double tv = doc->number_at("t");
   auto room = [this] {
     std::size_t points = 0;
     for (const auto& [_, v] : sums_) points += v.size();

@@ -43,8 +43,7 @@ std::vector<FlatMetric> flatten(const common::JsonValue& doc) {
 }
 
 bool is_bench_doc(const common::JsonValue& doc) {
-  const auto* schema = doc.find("schema");
-  return schema != nullptr && schema->as_string() == "decor.bench.v1" &&
+  return doc.string_at("schema") == "decor.bench.v1" &&
          doc.find("tables") != nullptr;
 }
 

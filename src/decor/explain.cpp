@@ -625,10 +625,7 @@ std::string explain_to_json(const ExplainDoc& doc) {
 }
 
 bool explain_from_json(const common::JsonValue& v, ExplainDoc& out) {
-  const auto* schema = v.find("schema");
-  if (schema == nullptr || schema->as_string() != "decor.explain.v1") {
-    return false;
-  }
+  if (v.string_at("schema") != "decor.explain.v1") return false;
   out = ExplainDoc{};
   if (const auto* c = v.find("converged")) out.converged = c->as_bool();
   out.convergence_time = v.number_at("convergence_time", -1.0);

@@ -121,7 +121,7 @@ bool DashboardState::ingest(std::string_view stream, std::string_view line) {
   if (stream == "timeline") {
     WatchTimelinePoint p;
     p.t = t;
-    if (const auto* v = doc->find("covered")) p.covered = v->as_number();
+    p.covered = doc->number_at("covered");
     p.uncovered = doc->number_at<std::uint64_t>("uncovered");
     p.alive = doc->number_at<std::uint64_t>("alive");
     p.arq_in_flight = doc->number_at<std::uint64_t>("arq_in_flight");

@@ -119,9 +119,7 @@ std::optional<FaultPlan> FaultPlan::parse(const common::JsonValue& doc,
       fail(error, at_event + "must be an object");
       return std::nullopt;
     }
-    const common::JsonValue* kind = e.find("kind");
-    const auto parsed_kind =
-        kind != nullptr ? kind_from_name(kind->as_string()) : std::nullopt;
+    const auto parsed_kind = kind_from_name(e.string_at("kind"));
     if (!parsed_kind) {
       fail(error, at_event + "unknown \"kind\"");
       return std::nullopt;
