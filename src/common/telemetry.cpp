@@ -106,11 +106,10 @@ TelemetryBus& TelemetryChannel::ensure_bus() {
 }
 
 void TelemetryChannel::attach_bus(TelemetryBus* bus) {
-  DECOR_REQUIRE_MSG(bus != nullptr, std::string(telemetry_stream_name(
-                                        stream_)) + ": null bus");
+  const char* name = telemetry_stream_name(stream_);
+  DECOR_REQUIRE_MSG(bus != nullptr, std::string(name) + ": null bus");
   DECOR_REQUIRE_MSG(!owned_bus_ && file_sink_ == 0,
-                    std::string(telemetry_stream_name(stream_)) +
-                        ": attach_bus must precede open_jsonl");
+                    std::string(name) + ": attach_bus must precede open_jsonl");
   bus_ = bus;
 }
 
