@@ -353,6 +353,19 @@ TEST_F(SyntheticRunDir, NeverConvergedRunIsExplainedOverTheHorizon) {
   EXPECT_NEAR(sum, 1.0, doc.sample_cadence);
 }
 
+TEST_F(SyntheticRunDir, TimelineRowWithoutUncoveredIsNotConvergence) {
+  // The last sample lost its `uncovered` count: a damaged row, not the
+  // convergence instant.
+  write("timeline.jsonl",
+        "{\"schema\":\"decor.timeline.v1\"}\n"
+        "{\"t\":0,\"covered\":0.5,\"uncovered\":2,\"alive\":2}\n"
+        "{\"t\":0.5,\"covered\":0.5,\"uncovered\":2,\"alive\":2}\n"
+        "{\"t\":1,\"covered\":1,\"alive\":3}\n");
+  const auto doc = core::explain_run_dir(dir_.string());
+  EXPECT_FALSE(doc.converged);
+  EXPECT_TRUE(has_warning(doc, "never converged"));
+}
+
 TEST_F(SyntheticRunDir, NotADirectoryThrows) {
   EXPECT_THROW(core::explain_run_dir((dir_ / "nope").string()),
                common::RequireError);
