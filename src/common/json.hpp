@@ -106,23 +106,30 @@ class JsonValue {
   /// Object members in document order (empty for non-objects).
   const std::vector<Member>& members() const noexcept { return obj_; }
 
-  /// First member named `key`, or nullptr (also for non-objects).
-  const JsonValue* find(std::string_view key) const noexcept;
-  /// Member `key` as a number converted to T; `def` when the member is
-  /// absent, not a number, or (integral T) outside T's range, where the
-  /// conversion would be undefined.
+  /// This value as a number converted to T; nullopt when it is not a
+  /// number or (integral T) lies outside T's range, where the conversion
+  /// would be undefined.
   template <typename T = double>
-  T number_at(std::string_view key, T def = T{}) const noexcept {
-    const JsonValue* v = find(key);
-    if (v == nullptr || !v->is_number()) return def;
+  std::optional<T> number_as() const noexcept {
+    if (!is_number()) return std::nullopt;
     if constexpr (std::is_integral_v<T>) {
       // [min, max + 1), both bounds exact in a double.
       constexpr auto lo = static_cast<double>(std::numeric_limits<T>::min());
       constexpr double hi =
           2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
-      if (!(v->num_ >= lo && v->num_ < hi)) return def;
+      if (!(num_ >= lo && num_ < hi)) return std::nullopt;
     }
-    return static_cast<T>(v->num_);
+    return static_cast<T>(num_);
+  }
+
+  /// First member named `key`, or nullptr (also for non-objects).
+  const JsonValue* find(std::string_view key) const noexcept;
+  /// Member `key` through number_as<T>(); `def` when the member is
+  /// absent or number_as rejects it.
+  template <typename T = double>
+  T number_at(std::string_view key, T def = T{}) const noexcept {
+    const JsonValue* v = find(key);
+    return v != nullptr ? v->number_as<T>().value_or(def) : def;
   }
   /// Member `key` as a string; empty when absent or not a string.
   const std::string& string_at(std::string_view key) const noexcept {

@@ -137,8 +137,10 @@ void OtlpSink::ingest_metrics(std::string_view line) {
   if (const JsonValue* counters = doc->find("counters")) {
     for (const auto& [name, v] : counters->members()) {
       if (!room()) return;
-      sums_[name].push_back(
-          SumPoint{tv, static_cast<std::uint64_t>(v.as_number())});
+      // A counter that is no uint64 (negative, too large) has no sum.
+      if (const auto n = v.number_as<std::uint64_t>()) {
+        sums_[name].push_back(SumPoint{tv, *n});
+      }
     }
   }
   if (const JsonValue* gauges = doc->find("gauges")) {

@@ -134,7 +134,15 @@ std::optional<FaultPlan> FaultPlan::parse(const common::JsonValue& doc,
     switch (ev.kind) {
       case FaultEvent::Kind::kReboot: {
         ev.fraction = e.number_at("fraction", 0.0);
-        ev.count = static_cast<std::uint32_t>(e.number_at("count", 0.0));
+        if (const common::JsonValue* count = e.find("count")) {
+          const auto n = count->number_as<std::uint32_t>();
+          if (!n || *n != count->as_number()) {
+            fail(error,
+                 at_event + "\"count\" must be a whole number in [0, 2^32)");
+            return std::nullopt;
+          }
+          ev.count = *n;
+        }
         ev.downtime = e.number_at("downtime", 5.0);
         if (ev.count == 0 && !(ev.fraction > 0.0 && ev.fraction <= 1.0)) {
           fail(error,

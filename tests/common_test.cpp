@@ -173,6 +173,11 @@ TEST(ParseJson, MemberAccessorsFallBackToDefaults) {
   EXPECT_EQ(v->number_at<std::uint64_t>("neg", 9), 9u);
   EXPECT_EQ(v->number_at<std::uint64_t>("big", 9), 9u);
   EXPECT_EQ(v->number_at<std::uint32_t>("u32", 9), 9u);
+  // The value-level conversion behind number_at: nullopt, not a default.
+  EXPECT_EQ(v->find("n")->number_as<std::uint32_t>(), 7u);
+  EXPECT_FALSE(v->find("neg")->number_as<std::uint64_t>().has_value());
+  EXPECT_FALSE(v->find("big")->number_as<std::uint64_t>().has_value());
+  EXPECT_FALSE(v->find("s")->number_as<double>().has_value());
   EXPECT_EQ(v->string_at("s"), "x");
   EXPECT_EQ(v->string_at("n"), "");
   EXPECT_EQ(v->string_at("missing"), "");

@@ -98,6 +98,11 @@ TEST(FaultPlan, RejectsMalformedPlans) {
   expect_rejected(R"({"events":[{"kind":"reboot","at":-1.0,"count":1}]})",
                   "at");
   expect_rejected(R"({"events":[{"kind":"reboot","at":1.0}]})", "fraction");
+  for (const char* count : {"-1", "1e10", "2.7"}) {
+    expect_rejected(std::string(R"({"events":[{"kind":"reboot","at":1.0,)") +
+                        "\"count\":" + count + "}]}",
+                    "\"count\" must be");
+  }
   expect_rejected(
       R"({"events":[{"kind":"partition","at":5.0,"axis":"z","threshold":1.0,"until":9.0}]})",
       "axis");
