@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "common/require.hpp"
 
@@ -416,6 +418,20 @@ std::optional<JsonValue> parse_json(std::string_view text) {
   JsonValue v;
   if (!parser.parse(v)) return std::nullopt;
   return v;
+}
+
+std::optional<JsonValue> parse_json_file(const std::string& path) {
+  std::ifstream f(path);
+  if (!f.is_open()) return std::nullopt;
+  std::stringstream buf;
+  buf << f.rdbuf();
+  return parse_json(buf.str());
+}
+
+std::optional<double> data_row_time(const JsonValue& row) noexcept {
+  if (!row.is_object() || row.find("schema") != nullptr) return std::nullopt;
+  const JsonValue* t = row.find("t");
+  return t != nullptr ? t->number_as<double>() : std::nullopt;
 }
 
 }  // namespace decor::common

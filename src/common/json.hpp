@@ -175,4 +175,13 @@ class JsonValue {
 /// stack.
 std::optional<JsonValue> parse_json(std::string_view text);
 
+/// The document in file `path`; nullopt when the file cannot be read or
+/// does not parse.
+std::optional<JsonValue> parse_json_file(const std::string& path);
+
+/// The `t` of a decor.* JSONL data row, or nullopt when `row` is not an
+/// object, is a schema header or has no numeric `t`: the rows every
+/// artifact reader rejects.
+std::optional<double> data_row_time(const JsonValue& row) noexcept;
+
 }  // namespace decor::common

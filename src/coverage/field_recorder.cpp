@@ -12,27 +12,26 @@ namespace decor::coverage {
 namespace {
 
 /// The decor.field.v1 header line: the raster geometry.
-std::string field_header_json(const geom::Rect& bounds, std::uint32_t k,
-                              std::size_t cols, std::size_t rows) {
+std::string field_header_json(const FieldHeader& h) {
   std::ostringstream os;
   common::JsonWriter w(os);
   w.begin_object();
   w.key("schema");
   w.value("decor.field.v1");
   w.key("k");
-  w.value(static_cast<std::uint64_t>(k));
+  w.value(static_cast<std::uint64_t>(h.k));
   w.key("cols");
-  w.value(static_cast<std::uint64_t>(cols));
+  w.value(static_cast<std::uint64_t>(h.cols));
   w.key("rows");
-  w.value(static_cast<std::uint64_t>(rows));
+  w.value(static_cast<std::uint64_t>(h.rows));
   w.key("x0");
-  w.value(bounds.x0);
+  w.value(h.x0);
   w.key("y0");
-  w.value(bounds.y0);
+  w.value(h.y0);
   w.key("width");
-  w.value(bounds.width());
+  w.value(h.width);
   w.key("height");
-  w.value(bounds.height());
+  w.value(h.height);
   w.end_object();
   return os.str();
 }
@@ -45,8 +44,7 @@ FieldRecorder::FieldRecorder(const geom::Rect& bounds, std::uint32_t k,
       k_(k),
       cols_(cols),
       rows_(rows),
-      channel_(common::TelemetryStream::kField,
-               field_header_json(bounds, k, cols, rows)) {
+      channel_(common::TelemetryStream::kField, field_header_json(header())) {
   DECOR_REQUIRE_MSG(k_ >= 1, "coverage requirement must be >= 1");
   DECOR_REQUIRE_MSG(cols_ >= 1 && rows_ >= 1,
                     "field raster needs at least one cell");
@@ -191,6 +189,55 @@ std::string FieldRecorder::snapshot_json(const FieldSnapshot& s) {
   w.end_array();
   w.end_object();
   return os.str();
+}
+
+std::optional<FieldHeader> field_header_from_json(
+    const common::JsonValue& header) {
+  FieldHeader h;
+  h.k = header.number_at<std::uint32_t>("k");
+  h.cols = header.number_at<std::uint32_t>("cols");
+  h.rows = header.number_at<std::uint32_t>("rows");
+  if (!header.is_object() || h.k < 1 || h.cols < 1 || h.rows < 1) {
+    return std::nullopt;
+  }
+  h.x0 = header.number_at("x0");
+  h.y0 = header.number_at("y0");
+  h.width = header.number_at("width");
+  h.height = header.number_at("height");
+  return h;
+}
+
+std::optional<FieldSnapshot> field_snapshot_from_json(
+    const common::JsonValue& row, const FieldHeader& header) {
+  const auto t = common::data_row_time(row);
+  if (!t) return std::nullopt;
+  FieldSnapshot s;
+  s.t = *t;
+  const common::JsonValue* forced = row.find("forced");
+  s.forced = forced != nullptr && forced->as_bool();
+  s.total_deficit = row.number_at<std::uint64_t>("total_deficit");
+  s.uncovered_points = row.number_at<std::uint64_t>("uncovered");
+  if (const common::JsonValue* raster = row.find("raster")) {
+    s.raster.reserve(raster->items().size());
+    for (const common::JsonValue& cell : raster->items()) {
+      const auto d = cell.number_as<std::uint32_t>();
+      if (!d) return std::nullopt;
+      s.raster.push_back(*d);
+    }
+  }
+  if (s.raster.size() != header.cols * header.rows) return std::nullopt;
+  if (const common::JsonValue* holes = row.find("holes")) {
+    for (const common::JsonValue& h : holes->items()) {
+      s.holes.push_back(coverage_hole_from_json(h));
+    }
+  }
+  return s;
+}
+
+CoverageHole coverage_hole_from_json(const common::JsonValue& hole) {
+  return {hole.number_at<std::uint64_t>("points"), hole.number_at("area"),
+          {hole.number_at("cx"), hole.number_at("cy")},
+          hole.number_at<std::uint32_t>("max_deficit")};
 }
 
 }  // namespace decor::coverage

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,10 @@
 #include "coverage/coverage_map.hpp"
 #include "geometry/point.hpp"
 #include "geometry/rect.hpp"
+
+namespace decor::common {
+class JsonValue;
+}
 
 namespace decor::coverage {
 
@@ -39,6 +44,8 @@ struct CoverageHole {
   geom::Point2 centroid{};
   /// Largest per-point deficit inside the hole.
   std::uint32_t max_deficit = 0;
+
+  bool operator==(const CoverageHole&) const = default;
 };
 
 struct FieldSnapshot {
@@ -54,6 +61,23 @@ struct FieldSnapshot {
   std::vector<std::uint32_t> raster;
   /// Holes in discovery order (row-major scan of the raster).
   std::vector<CoverageHole> holes;
+
+  bool operator==(const FieldSnapshot&) const = default;
+};
+
+/// The decor.field.v1 header: the raster every snapshot of the file is
+/// drawn on.
+struct FieldHeader {
+  std::uint32_t k = 1;
+  std::size_t cols = 1;
+  std::size_t rows = 1;
+  /// Field bounds: lower-left corner and extent.
+  double x0 = 0.0;
+  double y0 = 0.0;
+  double width = 0.0;
+  double height = 0.0;
+
+  bool operator==(const FieldHeader&) const = default;
 };
 
 class FieldRecorder {
@@ -72,6 +96,11 @@ class FieldRecorder {
   std::size_t cols() const noexcept { return cols_; }
   std::size_t rows() const noexcept { return rows_; }
   const geom::Rect& bounds() const noexcept { return bounds_; }
+  /// What header_json() serializes.
+  FieldHeader header() const noexcept {
+    return {k_, cols_, rows_, bounds_.x0, bounds_.y0, bounds_.width(),
+            bounds_.height()};
+  }
 
   /// Bus plumbing, as common::TelemetryChannel documents it.
   void attach_bus(common::TelemetryBus* bus) { channel_.attach_bus(bus); }
@@ -110,5 +139,24 @@ class FieldRecorder {
   std::vector<FieldSnapshot> snapshots_;
   common::TelemetryChannel channel_;
 };
+
+// --- reading decor.field.v1 back ------------------------------------------
+
+/// The reader twin of FieldRecorder::header_json: nullopt when `header`
+/// is not an object or its `k`, `cols` or `rows` is not a count in
+/// [1, 2^32). Those are what consumers divide and index by. Missing
+/// bounds read as 0.
+std::optional<FieldHeader> field_header_from_json(
+    const common::JsonValue& header);
+
+/// The reader twin of FieldRecorder::snapshot_json: nullopt when
+/// common::data_row_time rejects the row, a raster cell is not a uint32
+/// or the raster does not hold `header`'s cols x rows cells.
+std::optional<FieldSnapshot> field_snapshot_from_json(
+    const common::JsonValue& row, const FieldHeader& header);
+
+/// One hole object of a snapshot row; decor.explain.v1 stores its last
+/// hole the same way.
+CoverageHole coverage_hole_from_json(const common::JsonValue& hole);
 
 }  // namespace decor::coverage

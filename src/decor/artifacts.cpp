@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/require.hpp"
@@ -19,10 +18,7 @@ Artifact load_document(const fs::path& path, const std::string& rel,
   Artifact a;
   a.rel = rel;
   a.kind = kind;
-  std::ifstream f(path);
-  std::stringstream buf;
-  buf << f.rdbuf();
-  auto parsed = common::parse_json(buf.str());
+  auto parsed = common::parse_json_file(path.string());
   if (parsed) {
     a.header = std::move(*parsed);
   } else {
@@ -30,6 +26,30 @@ Artifact load_document(const fs::path& path, const std::string& rel,
     a.kind = "other";
   }
   return a;
+}
+
+/// Appends `row` when its reader accepted it; false when it did not.
+template <typename T>
+bool keep(std::vector<T>& rows, std::optional<T> row) {
+  if (!row) return false;
+  rows.push_back(std::move(*row));
+  return true;
+}
+
+/// Decodes one data line of `a` through the reader of its kind.
+bool decode_row(Artifact& a, common::JsonValue row) {
+  if (a.kind == "timeline") {
+    return keep(a.timeline, sim::timeline_sample_from_json(row));
+  }
+  if (a.kind == "field") {
+    return a.field_header.has_value() &&
+           keep(a.field,
+                coverage::field_snapshot_from_json(row, *a.field_header));
+  }
+  if (a.kind == "audit") return keep(a.audit, sim::audit_record_from_json(row));
+  if (a.kind == "trace") return keep(a.trace, sim::trace_record_from_json(row));
+  a.records.push_back(std::move(row));
+  return true;
 }
 
 }  // namespace
@@ -57,16 +77,17 @@ Artifact load_jsonl_artifact(const std::string& path, const std::string& rel) {
         if (s == "decor.timeline.v1") a.kind = "timeline";
         if (s == "decor.audit.v1") a.kind = "audit";
         if (s == "decor.metrics.v1") a.kind = "metrics-stream";
+        if (a.kind == "field") {
+          a.field_header = coverage::field_header_from_json(*parsed);
+        }
         a.header = std::move(*parsed);
-        a.header_line = line;
         continue;
       }
       if (parsed->find("seq") != nullptr && parsed->find("kind") != nullptr) {
         a.kind = "trace";
       }
     }
-    a.records.push_back(std::move(*parsed));
-    a.lines.push_back(line);
+    if (!decode_row(a, std::move(*parsed))) ++a.malformed;
   }
   return a;
 }
@@ -77,18 +98,15 @@ std::vector<Artifact> load_run_artifacts(const std::string& dir,
   DECOR_REQUIRE_MSG(fs::is_directory(dir, ec),
                     context + ": not a readable directory: " + dir);
 
-  std::vector<fs::path> paths;
+  std::vector<std::pair<std::string, fs::path>> files;
   for (fs::recursive_directory_iterator
            it(dir, fs::directory_options::skip_permission_denied, ec),
        end;
        it != end; it.increment(ec)) {
     if (ec) break;
-    if (it->is_regular_file(ec)) paths.push_back(it->path());
-  }
-  std::vector<std::pair<std::string, fs::path>> files;
-  files.reserve(paths.size());
-  for (const auto& p : paths) {
-    files.emplace_back(fs::relative(p, dir, ec).generic_string(), p);
+    if (!it->is_regular_file(ec)) continue;
+    files.emplace_back(fs::relative(it->path(), dir, ec).generic_string(),
+                       it->path());
   }
   std::sort(files.begin(), files.end());
 
@@ -106,6 +124,16 @@ std::vector<Artifact> load_run_artifacts(const std::string& dir,
   return artifacts;
 }
 
+std::vector<std::size_t> even_subsample(std::size_t n, std::size_t cap) {
+  const std::size_t m = cap == 0 ? n : std::min(n, cap);
+  std::vector<std::size_t> picks;
+  for (std::size_t i = 0; i < m; ++i) {
+    picks.push_back(m == n ? i : m > 1 ? i * (n - 1) / (m - 1) : n - 1);
+  }
+  picks.erase(std::unique(picks.begin(), picks.end()), picks.end());
+  return picks;
+}
+
 std::vector<ArtifactWarning> collect_artifact_warnings(
     const std::vector<Artifact>& artifacts) {
   std::vector<ArtifactWarning> warnings;
@@ -115,7 +143,11 @@ std::vector<ArtifactWarning> collect_artifact_warnings(
       warnings.push_back({a.rel, a.malformed > 0 ? "unparseable" : "empty"});
       continue;
     }
-    if (!document && a.records.empty()) {
+    if (a.kind == "field" && !a.field_header) {
+      warnings.push_back({a.rel, "rejected decor.field.v1 header"});
+      continue;
+    }
+    if (!document && a.rows() == 0) {
       warnings.push_back({a.rel, "no records (empty or truncated)"});
       continue;
     }

@@ -6,18 +6,20 @@
 // copy of that logic: it discovers files in sorted relative-path order
 // (directory iteration order is filesystem-dependent; every consumer's
 // byte-determinism contract depends on the sort), classifies each by its
-// schema header or record shape, and parses the lines once.
-//
-// Raw line text is retained alongside the parsed records so replay-style
-// consumers (the dashboard ingests verbatim JSONL lines) and tree-style
-// consumers (the report walks parsed values) share one loader.
+// schema header or record shape, and decodes each data line once through
+// its schema's reader (DESIGN.md §8), so consumers read typed rows.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
+#include "coverage/field_recorder.hpp"
+#include "sim/audit_log.hpp"
+#include "sim/timeline.hpp"
+#include "sim/trace.hpp"
 
 namespace decor::core {
 
@@ -32,10 +34,24 @@ struct Artifact {
   /// or "other".
   std::string kind;
   common::JsonValue header;  ///< schema line, or the whole document
-  std::string header_line;   ///< raw schema line text ("" when none)
-  std::vector<common::JsonValue> records;  ///< parsed data lines, file order
-  std::vector<std::string> lines;  ///< raw text of `records`, same order
-  std::size_t malformed = 0;       ///< unparseable lines, skipped
+  /// The data lines in file order, decoded by the reader of `kind`; only
+  /// the vector of that kind fills.
+  std::vector<sim::TimelineSample> timeline;
+  std::vector<coverage::FieldSnapshot> field;
+  std::vector<sim::AuditRecord> audit;
+  std::vector<sim::TraceRecord> trace;
+  /// Parsed data lines of kinds without a reader (metrics streams, other).
+  std::vector<common::JsonValue> records;
+  /// A field artifact's header; nullopt when the reader rejected it, and
+  /// then every data line counts as malformed.
+  std::optional<coverage::FieldHeader> field_header;
+  std::size_t malformed = 0;  ///< unparseable or rejected lines, skipped
+
+  /// Data lines kept, whatever their kind.
+  std::size_t rows() const noexcept {
+    return timeline.size() + field.size() + audit.size() + trace.size() +
+           records.size();
+  }
 };
 
 /// Artifacts that cannot contribute anything to a consumer: a file with
@@ -48,21 +64,26 @@ struct ArtifactWarning {
 };
 
 /// Loads one JSONL file the way load_run_artifacts loads each of a
-/// directory's: classified by its first line, unparseable lines skipped
-/// and counted; `rel` names it in the artifact.
+/// directory's: classified by its first line, unparseable or rejected
+/// lines skipped and counted; `rel` names it in the artifact.
 Artifact load_jsonl_artifact(const std::string& path, const std::string& rel);
 
 /// Loads every recognized artifact under `dir` (recursively, so flight
 /// bundles nested in a run directory are included): *.jsonl files plus
 /// manifest.json / metrics.json documents. Throws common::RequireError
 /// when `dir` is not a readable directory (`context` prefixes the
-/// message, e.g. "report"); unreadable or malformed lines are skipped
-/// and counted per artifact.
+/// message, e.g. "report"); unreadable, malformed or rejected lines are
+/// skipped and counted per artifact.
 std::vector<Artifact> load_run_artifacts(const std::string& dir,
                                          const std::string& context);
 
+/// Indices of `n` items evenly subsampled down to `cap` (0: no cap), the
+/// first and last kept (only the last when `cap` is 1): the heatmaps of
+/// `decor report html` and the replay frames of `decor watch`.
+std::vector<std::size_t> even_subsample(std::size_t n, std::size_t cap);
+
 /// The counted warnings for a loaded artifact set (empty, truncated or
-/// unparseable files).
+/// unparseable files, rejected field headers).
 std::vector<ArtifactWarning> collect_artifact_warnings(
     const std::vector<Artifact>& artifacts);
 

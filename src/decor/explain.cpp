@@ -6,14 +6,13 @@
 #include <sstream>
 #include <utility>
 
+#include "geometry/point.hpp"
 #include "net/messages.hpp"
 #include "sim/trace.hpp"
 
 namespace decor::core {
 
 namespace {
-
-using common::JsonValue;
 
 double median_of(std::vector<double> v) {
   if (v.empty()) return 0.0;
@@ -58,6 +57,39 @@ struct LinkAgg {
   std::vector<double> latencies;
 };
 
+/// What a health ranking breaks score ties by.
+std::uint32_t rank_key(const ExplainNodeHealth& h) { return h.node; }
+std::pair<std::uint32_t, std::uint32_t> rank_key(const ExplainLinkHealth& h) {
+  return {h.src, h.dst};
+}
+
+/// Keeps the `n` worst entries of `v`: highest score first, ties by key.
+template <typename Health>
+void keep_worst(std::vector<Health>& v, std::size_t n) {
+  std::sort(v.begin(), v.end(), [](const Health& a, const Health& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return rank_key(a) < rank_key(b);
+  });
+  if (v.size() > n) v.resize(n);
+}
+
+/// The entries of `b` whose score rose over `a`, scored by the rise (an
+/// entry absent from `a` rises by its whole score): the `n` worst.
+template <typename Health>
+std::vector<Health> worsened(const std::vector<Health>& a,
+                             const std::vector<Health>& b, std::size_t n) {
+  std::map<decltype(rank_key(Health{})), double> base;
+  for (const Health& h : a) base[rank_key(h)] = h.score;
+  std::vector<Health> out;
+  for (Health h : b) {
+    const auto it = base.find(rank_key(h));
+    h.score -= it != base.end() ? it->second : 0.0;
+    if (h.score > 0.0) out.push_back(h);
+  }
+  keep_worst(out, n);
+  return out;
+}
+
 }  // namespace
 
 ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
@@ -77,38 +109,32 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   // --- convergence instant and sampling cadence --------------------------
   double max_t = 0.0;
   if (timeline != nullptr) {
-    doc.timeline_samples = timeline->records.size();
+    const auto& samples = timeline->timeline;
+    doc.timeline_samples = samples.size();
     std::vector<double> diffs;
-    double prev_t = 0.0;
-    bool have_prev = false;
-    for (const auto& s : timeline->records) {
-      const double t = s.number_at("t");
-      max_t = std::max(max_t, t);
-      if (have_prev && t > prev_t) diffs.push_back(t - prev_t);
-      prev_t = t;
-      have_prev = true;
-      if (doc.convergence_time < 0.0 && s.number_at("uncovered", 1.0) == 0.0) {
-        doc.convergence_time = t;
-        doc.converged = true;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      max_t = std::max(max_t, samples[i].t);
+      if (i > 0 && samples[i].t > samples[i - 1].t) {
+        diffs.push_back(samples[i].t - samples[i - 1].t);
       }
     }
     doc.sample_cadence = median_of(std::move(diffs));
+    doc.convergence_time = sim::convergence_time(samples);
+    doc.converged = doc.convergence_time >= 0.0;
   } else {
     doc.warnings.push_back("no decor.timeline.v1 artifact");
   }
-  std::vector<sim::TraceRecord> rows;  // the trace artifact, read once
+  const std::vector<sim::TraceRecord> no_trace;
+  const auto& rows = trace != nullptr ? trace->trace : no_trace;
   if (trace != nullptr) {
-    doc.trace_records = trace->records.size();
-    for (const auto& row : trace->records) {
-      auto r = sim::trace_record_from_json(row);
-      if (!r) continue;
-      max_t = std::max(max_t, r->at);
-      if (!doc.converged && r->kind == sim::TraceKind::kProtocol &&
-          r->detail == "converged") {
-        doc.convergence_time = r->at;
+    doc.trace_records = rows.size();
+    for (const auto& r : rows) {
+      max_t = std::max(max_t, r.at);
+      if (!doc.converged && r.kind == sim::TraceKind::kProtocol &&
+          r.detail == "converged") {
+        doc.convergence_time = r.at;
         doc.converged = true;
       }
-      rows.push_back(std::move(*r));
     }
   } else {
     doc.warnings.push_back("no trace artifact");
@@ -125,28 +151,25 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   // --- closing placement (audit walk) ------------------------------------
   std::uint64_t audits_without_trace_id = 0;
   double first_audit_t = -1.0;
-  if (audit != nullptr && !audit->records.empty()) {
-    doc.audit_records = audit->records.size();
-    const JsonValue* sat = nullptr;   // latest with newly_satisfied > 0
-    const JsonValue* last = nullptr;  // latest before the horizon at all
-    for (const auto& r : audit->records) {
-      const double t = r.number_at("t");
-      if (first_audit_t < 0.0) first_audit_t = t;
-      if (r.number_at<std::uint64_t>("trace_id") == 0) {
-        ++audits_without_trace_id;
-      }
-      if (t > horizon + doc.sample_cadence) continue;
+  if (audit != nullptr && !audit->audit.empty()) {
+    doc.audit_records = audit->audit.size();
+    const sim::AuditRecord* sat = nullptr;   // latest newly_satisfied > 0
+    const sim::AuditRecord* last = nullptr;  // latest before the horizon
+    for (const auto& r : audit->audit) {
+      if (first_audit_t < 0.0) first_audit_t = r.t;
+      if (r.trace_id == 0) ++audits_without_trace_id;
+      if (r.t > horizon + doc.sample_cadence) continue;
       last = &r;  // file order is time order: keep the latest
-      if (r.number_at<std::uint64_t>("newly_satisfied") > 0) sat = &r;
+      if (r.newly_satisfied > 0) sat = &r;
     }
     // Prefer the newly-satisfied key, but only while the audit trail
     // keeps recording it: seed bootstraps log newly_satisfied=0 even
     // when they close the final hole, so a satisfied-keyed pick that
     // predates the last pre-horizon decision by more than one cadence
     // is stale — coverage was still open after it fired.
-    const JsonValue* closing = sat;
+    const sim::AuditRecord* closing = sat;
     if (closing != nullptr && last != nullptr &&
-        closing->number_at("t") + doc.sample_cadence < last->number_at("t")) {
+        closing->t + doc.sample_cadence < last->t) {
       doc.warnings.push_back(
           "audit trail stops recording newly-satisfied points before "
           "convergence; using the last pre-convergence decision");
@@ -162,20 +185,10 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
         doc.warnings.push_back(
             "no audit record newly satisfied points; using the last "
             "decision");
-        closing = &audit->records.back();
+        closing = &audit->audit.back();
       }
     }
-    doc.closing_placement.present = true;
-    doc.closing_placement.t = closing->number_at("t");
-    doc.closing_placement.actor = closing->number_at<std::uint32_t>("actor");
-    doc.closing_placement.reason = closing->string_at("reason");
-    doc.closing_placement.x = closing->number_at("x");
-    doc.closing_placement.y = closing->number_at("y");
-    doc.closing_placement.benefit = closing->number_at("benefit");
-    doc.closing_placement.newly_satisfied =
-        closing->number_at<std::uint64_t>("newly_satisfied");
-    doc.closing_placement.trace_id =
-        closing->number_at<std::uint64_t>("trace_id");
+    doc.closing_placement = *closing;
   } else {
     doc.warnings.push_back("no decor.audit.v1 artifact");
   }
@@ -187,41 +200,28 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   }
 
   // --- last hole to close (field walk) ------------------------------------
-  if (field != nullptr && !field->records.empty()) {
-    const JsonValue* last_open = nullptr;
-    for (const auto& s : field->records) {
-      if (s.number_at("t") > horizon + doc.sample_cadence) break;
-      if (s.number_at("uncovered") > 0.0) last_open = &s;
+  if (field != nullptr && !field->field.empty()) {
+    const coverage::FieldSnapshot* last_open = nullptr;
+    for (const auto& s : field->field) {
+      if (s.t > horizon + doc.sample_cadence) break;
+      if (s.uncovered_points > 0) last_open = &s;
     }
-    const auto* holes =
-        last_open != nullptr ? last_open->find("holes") : nullptr;
-    if (holes != nullptr && !holes->items().empty()) {
+    if (last_open != nullptr && !last_open->holes.empty()) {
       // The hole the closing placement filled: nearest centroid to the
       // placement position (first hole when no placement is known —
       // hole extraction order is deterministic).
-      const JsonValue* best = &holes->items().front();
-      if (doc.closing_placement.present) {
-        double best_d = 0.0;
-        bool first = true;
-        for (const auto& h : holes->items()) {
-          const double dx = h.number_at("cx") - doc.closing_placement.x;
-          const double dy = h.number_at("cy") - doc.closing_placement.y;
-          const double d2 = dx * dx + dy * dy;
-          if (first || d2 < best_d) {
-            best_d = d2;
-            best = &h;
-            first = false;
-          }
-        }
+      const auto& holes = last_open->holes;
+      auto best = holes.begin();
+      if (doc.closing_placement) {
+        const geom::Point2 at = doc.closing_placement->pos;
+        best = std::min_element(
+            holes.begin(), holes.end(), [at](const auto& a, const auto& b) {
+              return geom::distance_sq(a.centroid, at) <
+                     geom::distance_sq(b.centroid, at);
+            });
       }
-      doc.last_hole.present = true;
-      doc.last_hole.t = last_open->number_at("t");
-      doc.last_hole.points = best->number_at<std::uint64_t>("points");
-      doc.last_hole.area = best->number_at("area");
-      doc.last_hole.cx = best->number_at("cx");
-      doc.last_hole.cy = best->number_at("cy");
-      doc.last_hole.max_deficit =
-          best->number_at<std::uint32_t>("max_deficit");
+      doc.last_hole = *best;
+      doc.last_hole_t = last_open->t;
     } else if (last_open != nullptr) {
       doc.warnings.push_back(
           "last uncovered field snapshot records no hole inventory");
@@ -233,6 +233,8 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   }
 
   // --- trace pass: exchanges, node stats, link stats ----------------------
+  const std::uint64_t closing_tid =
+      doc.closing_placement ? doc.closing_placement->trace_id : 0;
   sim::ExchangeTracker tracker(net::kAck);
   std::map<std::uint32_t, NodeAgg> nodes;
   std::map<std::pair<std::uint32_t, std::uint32_t>, LinkAgg> links;
@@ -247,8 +249,7 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
       continue;
     }
     const sim::TraceLeg leg = tracker.add(r);
-    if (leg != sim::TraceLeg::kNone &&
-        r.trace_id == doc.closing_placement.trace_id) {
+    if (leg != sim::TraceLeg::kNone && r.trace_id == closing_tid) {
       critical.emplace_back(&r, leg);
     }
     const sim::TraceDetail d = sim::parse_trace_detail(r.detail);
@@ -285,10 +286,9 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
       doc.detection = std::min(first_audit_t, horizon);
       std::vector<std::pair<double, double>> in_flight;
       if (audit != nullptr) {
-        for (const auto& r : audit->records) {
-          const auto tid = r.number_at<std::uint64_t>("trace_id");
-          if (tid == 0) continue;
-          const auto it = spans.find(tid);
+        for (const auto& r : audit->audit) {
+          if (r.trace_id == 0) continue;
+          const auto it = spans.find(r.trace_id);
           if (it == spans.end()) {
             ++audited_missing_trace;
             continue;
@@ -312,15 +312,15 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   }
 
   // --- the critical exchange ----------------------------------------------
-  if (doc.closing_placement.present) {
-    if (doc.closing_placement.trace_id == 0) {
+  if (doc.closing_placement) {
+    if (closing_tid == 0) {
       doc.warnings.push_back(
           "closing placement carries no causality id (trace_id=0)");
     } else if (trace == nullptr) {
       // Already warned about the missing trace artifact.
     } else {
       auto& ex = doc.exchange;
-      ex.trace_id = doc.closing_placement.trace_id;
+      ex.trace_id = closing_tid;
       const auto it = spans.find(ex.trace_id);
       ex.present = it != spans.end();
       if (ex.present) {
@@ -387,12 +387,7 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
                 0.5 * static_cast<double>(h.dead_peer_events);
       doc.nodes.push_back(h);
     }
-    std::sort(doc.nodes.begin(), doc.nodes.end(),
-              [](const ExplainNodeHealth& a, const ExplainNodeHealth& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.node < b.node;
-              });
-    if (doc.nodes.size() > opts.top_n) doc.nodes.resize(opts.top_n);
+    keep_worst(doc.nodes, opts.top_n);
 
     for (auto& [key, l] : links) {
       ExplainLinkHealth h;
@@ -409,13 +404,7 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
                 0.25 * static_cast<double>(h.crc_drops);
       doc.links.push_back(h);
     }
-    std::sort(doc.links.begin(), doc.links.end(),
-              [](const ExplainLinkHealth& a, const ExplainLinkHealth& b) {
-                if (a.score != b.score) return a.score > b.score;
-                if (a.src != b.src) return a.src < b.src;
-                return a.dst < b.dst;
-              });
-    if (doc.links.size() > opts.top_n) doc.links.resize(opts.top_n);
+    keep_worst(doc.links, opts.top_n);
   }
   return doc;
 }
@@ -429,45 +418,49 @@ ExplainDoc explain_run_dir(const std::string& dir,
 
 namespace {
 
-void write_hole(common::JsonWriter& w, const ExplainHole& h) {
-  if (!h.present) {
+void write_hole(common::JsonWriter& w,
+                const std::optional<coverage::CoverageHole>& h, double t) {
+  if (!h) {
     w.null_value();
     return;
   }
   w.begin_object();
   w.key("t");
-  w.value(h.t);
+  w.value(t);
   w.key("points");
-  w.value(h.points);
+  w.value(h->points);
   w.key("area");
-  w.value(h.area);
+  w.value(h->area);
   w.key("cx");
-  w.value(h.cx);
+  w.value(h->centroid.x);
   w.key("cy");
-  w.value(h.cy);
+  w.value(h->centroid.y);
   w.key("max_deficit");
-  w.value(static_cast<std::uint64_t>(h.max_deficit));
+  w.value(static_cast<std::uint64_t>(h->max_deficit));
   w.end_object();
 }
 
-void write_placement(common::JsonWriter& w, const ExplainPlacement& p) {
-  if (!p.present) {
+void write_placement(common::JsonWriter& w,
+                     const std::optional<sim::AuditRecord>& closing) {
+  if (!closing) {
     w.null_value();
     return;
   }
+  const sim::AuditRecord& p = *closing;
   w.begin_object();
   w.key("t");
   w.value(p.t);
   w.key("actor");
-  w.value(static_cast<std::uint64_t>(p.actor));
+  w.value(p.actor);
   w.key("reason");
   w.value(p.reason);
   w.key("x");
-  w.value(p.x);
+  w.value(p.pos.x);
   w.key("y");
-  w.value(p.y);
+  w.value(p.pos.y);
+  // decor.explain.v1 has always written the benefit as a double.
   w.key("benefit");
-  w.value(p.benefit);
+  w.value(static_cast<double>(p.benefit));
   w.key("newly_satisfied");
   w.value(p.newly_satisfied);
   w.key("trace_id");
@@ -547,7 +540,7 @@ std::string explain_to_json(const ExplainDoc& doc) {
   w.key("critical_path");
   w.begin_object();
   w.key("last_hole");
-  write_hole(w, doc.last_hole);
+  write_hole(w, doc.last_hole, doc.last_hole_t);
   w.key("closing_placement");
   write_placement(w, doc.closing_placement);
   w.key("exchange");
@@ -635,28 +628,13 @@ bool explain_from_json(const common::JsonValue& v, ExplainDoc& out) {
     out.decision = p->number_at("decision");
     out.propagation = p->number_at("propagation");
   }
-  if (const auto* cp = v.get("critical_path", "closing_placement");
-      cp != nullptr && cp->is_object()) {
-    out.closing_placement.present = true;
-    out.closing_placement.t = cp->number_at("t");
-    out.closing_placement.actor = cp->number_at<std::uint32_t>("actor");
-    out.closing_placement.reason = cp->string_at("reason");
-    out.closing_placement.x = cp->number_at("x");
-    out.closing_placement.y = cp->number_at("y");
-    out.closing_placement.benefit = cp->number_at("benefit");
-    out.closing_placement.newly_satisfied =
-        cp->number_at<std::uint64_t>("newly_satisfied");
-    out.closing_placement.trace_id = cp->number_at<std::uint64_t>("trace_id");
+  if (const auto* cp = v.get("critical_path", "closing_placement")) {
+    out.closing_placement = sim::audit_record_from_json(*cp);
   }
   if (const auto* h = v.get("critical_path", "last_hole");
       h != nullptr && h->is_object()) {
-    out.last_hole.present = true;
-    out.last_hole.t = h->number_at("t");
-    out.last_hole.points = h->number_at<std::uint64_t>("points");
-    out.last_hole.area = h->number_at("area");
-    out.last_hole.cx = h->number_at("cx");
-    out.last_hole.cy = h->number_at("cy");
-    out.last_hole.max_deficit = h->number_at<std::uint64_t>("max_deficit");
+    out.last_hole = coverage::coverage_hole_from_json(*h);
+    out.last_hole_t = h->number_at("t");
   }
   if (const auto* ex = v.get("critical_path", "exchange");
       ex != nullptr && ex->is_object()) {
@@ -743,62 +721,22 @@ ExplainDiff explain_diff(const ExplainDoc& a, const ExplainDoc& b,
   // by more (time not spent propagating is spent idling in decision, so
   // the two deltas largely mirror each other). Only when no phase grew
   // (B uniformly faster) does the largest improvement get the credit.
+  const std::pair<const char*, double> phases[] = {
+      {"detection", d.detection_delta},
+      {"decision", d.decision_delta},
+      {"propagation", d.propagation_delta}};
   double best = 0.0;
-  for (const auto& [name, delta] :
-       {std::pair<const char*, double>{"detection", d.detection_delta},
-        {"decision", d.decision_delta},
-        {"propagation", d.propagation_delta}}) {
-    if (delta > best) {
-      best = delta;
-      d.dominant_phase = name;
-    }
-  }
-  if (best == 0.0) {
-    for (const auto& [name, delta] :
-         {std::pair<const char*, double>{"detection", d.detection_delta},
-          {"decision", d.decision_delta},
-          {"propagation", d.propagation_delta}}) {
-      if (delta < best) {
-        best = delta;
+  for (const double sign : {1.0, -1.0}) {
+    for (const auto& [name, delta] : phases) {
+      if (sign * delta > best) {
+        best = sign * delta;
         d.dominant_phase = name;
       }
     }
+    if (best > 0.0) break;
   }
-
-  std::map<std::uint32_t, double> node_base;
-  for (const auto& n : a.nodes) node_base[n.node] = n.score;
-  std::vector<ExplainNodeHealth> nodes;
-  for (const auto& n : b.nodes) {
-    const auto it = node_base.find(n.node);
-    ExplainNodeHealth h = n;
-    h.score = n.score - (it != node_base.end() ? it->second : 0.0);
-    if (h.score > 0.0) nodes.push_back(h);
-  }
-  std::sort(nodes.begin(), nodes.end(),
-            [](const ExplainNodeHealth& x, const ExplainNodeHealth& y) {
-              if (x.score != y.score) return x.score > y.score;
-              return x.node < y.node;
-            });
-  if (nodes.size() > top_n) nodes.resize(top_n);
-  d.suspect_nodes = std::move(nodes);
-
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> link_base;
-  for (const auto& l : a.links) link_base[{l.src, l.dst}] = l.score;
-  std::vector<ExplainLinkHealth> links;
-  for (const auto& l : b.links) {
-    const auto it = link_base.find({l.src, l.dst});
-    ExplainLinkHealth h = l;
-    h.score = l.score - (it != link_base.end() ? it->second : 0.0);
-    if (h.score > 0.0) links.push_back(h);
-  }
-  std::sort(links.begin(), links.end(),
-            [](const ExplainLinkHealth& x, const ExplainLinkHealth& y) {
-              if (x.score != y.score) return x.score > y.score;
-              if (x.src != y.src) return x.src < y.src;
-              return x.dst < y.dst;
-            });
-  if (links.size() > top_n) links.resize(top_n);
-  d.suspect_links = std::move(links);
+  d.suspect_nodes = worsened(a.nodes, b.nodes, top_n);
+  d.suspect_links = worsened(a.links, b.links, top_n);
   return d;
 }
 

@@ -50,6 +50,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,30 +88,6 @@ struct ExplainExchange {
   std::vector<ExplainLeg> legs;
 };
 
-/// The hole whose closure produced convergence.
-struct ExplainHole {
-  bool present = false;
-  double t = 0.0;  ///< snapshot time the hole was last seen open
-  std::uint64_t points = 0;
-  double area = 0.0;
-  double cx = 0.0;
-  double cy = 0.0;
-  std::uint32_t max_deficit = 0;
-};
-
-/// The audit record that closed it.
-struct ExplainPlacement {
-  bool present = false;
-  double t = 0.0;
-  std::uint32_t actor = 0;
-  std::string reason;
-  double x = 0.0;
-  double y = 0.0;
-  double benefit = 0.0;
-  std::uint64_t newly_satisfied = 0;
-  std::uint64_t trace_id = 0;
-};
-
 struct ExplainNodeHealth {
   std::uint32_t node = 0;
   std::uint64_t tx = 0;
@@ -140,8 +117,12 @@ struct ExplainDoc {
   double detection = 0.0;
   double decision = 0.0;
   double propagation = 0.0;
-  ExplainHole last_hole;
-  ExplainPlacement closing_placement;
+  /// The hole whose closure produced convergence, and the time of the
+  /// snapshot that last showed it open.
+  std::optional<coverage::CoverageHole> last_hole;
+  double last_hole_t = 0.0;
+  /// The audit record that closed it.
+  std::optional<sim::AuditRecord> closing_placement;
   ExplainExchange exchange;
   std::vector<ExplainNodeHealth> nodes;  ///< worst first, top_n entries
   std::vector<ExplainLinkHealth> links;  ///< worst first, top_n entries

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -46,75 +45,59 @@ std::string html_escape(std::string_view s) {
   return out;
 }
 
-/// Compact re-serialization of a parsed value (manifest display). Number
-/// formatting goes through format_double, so re-rendered bytes are
-/// deterministic even if they differ cosmetically from the source.
-void json_to_stream(const JsonValue& v, std::ostream& os) {
+/// Re-serializes a parsed value (manifest display) through the one JSON
+/// writer, so re-rendered bytes are deterministic.
+void write_json(common::JsonWriter& w, const JsonValue& v) {
   switch (v.type()) {
     case JsonValue::Type::kNull:
-      os << "null";
+      w.null_value();
       break;
     case JsonValue::Type::kBool:
-      os << (v.as_bool() ? "true" : "false");
+      w.value(v.as_bool());
       break;
     case JsonValue::Type::kNumber:
-      os << common::format_double(v.as_number());
+      w.value(v.as_number());
       break;
     case JsonValue::Type::kString:
-      os << '"' << common::json_escape(v.as_string()) << '"';
+      w.value(v.as_string());
       break;
-    case JsonValue::Type::kArray: {
-      os << '[';
-      bool first = true;
-      for (const auto& item : v.items()) {
-        if (!first) os << ',';
-        first = false;
-        json_to_stream(item, os);
+    case JsonValue::Type::kArray:
+      w.begin_array();
+      for (const auto& item : v.items()) write_json(w, item);
+      w.end_array();
+      break;
+    case JsonValue::Type::kObject:
+      w.begin_object();
+      for (const auto& [k, member] : v.members()) {
+        w.key(k);
+        write_json(w, member);
       }
-      os << ']';
+      w.end_object();
       break;
-    }
-    case JsonValue::Type::kObject: {
-      os << '{';
-      bool first = true;
-      for (const auto& [k, mv] : v.members()) {
-        if (!first) os << ',';
-        first = false;
-        os << '"' << common::json_escape(k) << "\":";
-        json_to_stream(mv, os);
-      }
-      os << '}';
-      break;
-    }
   }
-}
-
-std::string json_to_string(const JsonValue& v) {
-  std::ostringstream os;
-  json_to_stream(v, os);
-  return os.str();
 }
 
 std::string fmt(double v) { return common::format_double(v); }
 
+/// Opens a w x h <svg> on the report's chart backdrop.
+void open_svg(std::ostream& os, std::size_t w, std::size_t h) {
+  os << "<svg width=\"" << w << "\" height=\"" << h << "\" viewBox=\"0 0 "
+     << w << " " << h << "\" xmlns=\"http://www.w3.org/2000/svg\">"
+     << "<rect width=\"" << w << "\" height=\"" << h
+     << "\" fill=\"#f7f7f7\" stroke=\"#ccc\"/>";
+}
+
 // --- field heatmaps ------------------------------------------------------
 
-void render_heatmap_svg(std::ostream& os, const JsonValue& snap,
+void render_heatmap_svg(std::ostream& os,
+                        const std::vector<std::uint32_t>& raster,
                         std::size_t cols, std::size_t rows,
                         std::uint64_t global_max) {
-  const std::size_t px =
-      std::clamp<std::size_t>(cols == 0 ? 8 : 320 / cols, 4, 16);
-  const std::size_t w = cols * px;
-  const std::size_t h = rows * px;
-  os << "<svg width=\"" << w << "\" height=\"" << h << "\" viewBox=\"0 0 "
-     << w << " " << h << "\" xmlns=\"http://www.w3.org/2000/svg\">";
-  os << "<rect width=\"" << w << "\" height=\"" << h
-     << "\" fill=\"#f7f7f7\" stroke=\"#ccc\"/>";
-  const auto* raster = snap.find("raster");
-  if (raster != nullptr && global_max > 0) {
-    const auto& cells = raster->items();
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const auto d = static_cast<std::uint64_t>(cells[i].as_number());
+  const std::size_t px = std::clamp<std::size_t>(320 / cols, 4, 16);
+  open_svg(os, cols * px, rows * px);
+  if (global_max > 0) {
+    for (std::size_t i = 0; i < raster.size(); ++i) {
+      const std::uint64_t d = raster[i];
       if (d == 0) continue;
       const std::size_t c = i % cols;
       const std::size_t r = i / cols;
@@ -132,16 +115,13 @@ void render_heatmap_svg(std::ostream& os, const JsonValue& snap,
 }
 
 void render_field_section(std::ostream& os, const Artifact& a,
+                          const coverage::FieldHeader& h,
                           const RunReportOptions& opts) {
-  const auto& h = a.header;
-  const auto cols = h.number_at<std::size_t>("cols", 1);
-  const auto rows = h.number_at<std::size_t>("rows", 1);
   os << "<h2>Field snapshots — " << html_escape(a.rel) << "</h2>\n";
-  os << "<p>raster " << cols << "×" << rows << ", k="
-     << fmt(h.number_at("k")) << ", field " << fmt(h.number_at("x0")) << ","
-     << fmt(h.number_at("y0")) << " +" << fmt(h.number_at("width")) << "×"
-     << fmt(h.number_at("height")) << "</p>\n";
-  if (a.records.empty()) {
+  os << "<p>raster " << h.cols << "×" << h.rows << ", k=" << fmt(h.k)
+     << ", field " << fmt(h.x0) << "," << fmt(h.y0) << " +" << fmt(h.width)
+     << "×" << fmt(h.height) << "</p>\n";
+  if (a.field.empty()) {
     os << "<p>no snapshots recorded</p>\n";
     return;
   }
@@ -149,46 +129,33 @@ void render_field_section(std::ostream& os, const Artifact& a,
   // One color scale across the whole file, so a draining deficit fades
   // visibly from snapshot to snapshot.
   std::uint64_t global_max = 0;
-  for (const auto& s : a.records) {
-    if (const auto* raster = s.find("raster")) {
-      for (const auto& cell : raster->items()) {
-        global_max = std::max(
-            global_max, static_cast<std::uint64_t>(cell.as_number()));
-      }
+  for (const auto& s : a.field) {
+    for (const std::uint32_t d : s.raster) {
+      global_max = std::max<std::uint64_t>(global_max, d);
     }
   }
 
   // Even subsample (first and last always kept) when the run recorded
   // more snapshots than the report should carry.
-  std::vector<std::size_t> picks;
-  const std::size_t n = a.records.size();
-  const std::size_t cap = std::max<std::size_t>(opts.max_heatmaps, 2);
-  if (n <= cap) {
-    for (std::size_t i = 0; i < n; ++i) picks.push_back(i);
-  } else {
-    for (std::size_t i = 0; i < cap; ++i) {
-      picks.push_back(i * (n - 1) / (cap - 1));
-    }
-    picks.erase(std::unique(picks.begin(), picks.end()), picks.end());
+  const std::size_t n = a.field.size();
+  const auto picks =
+      even_subsample(n, std::max<std::size_t>(opts.max_heatmaps, 2));
+  if (picks.size() < n) {
     os << "<p>" << n << " snapshots recorded; showing " << picks.size()
        << " (evenly subsampled)</p>\n";
   }
 
   os << "<div class=\"snaps\">\n";
   for (const std::size_t i : picks) {
-    const auto& s = a.records[i];
+    const auto& s = a.field[i];
     os << "<figure>";
-    render_heatmap_svg(os, s, cols, rows, global_max);
-    os << "<figcaption>t=" << fmt(s.number_at("t"))
-       << (s.find("forced") != nullptr && s.find("forced")->as_bool()
-               ? " (forced)"
-               : "")
-       << ", deficit " << fmt(s.number_at("total_deficit")) << ", uncovered "
-       << fmt(s.number_at("uncovered"));
-    if (const auto* holes = s.find("holes");
-        holes != nullptr && !holes->items().empty()) {
-      os << ", " << holes->items().size() << " hole"
-         << (holes->items().size() == 1 ? "" : "s");
+    render_heatmap_svg(os, s.raster, h.cols, h.rows, global_max);
+    os << "<figcaption>t=" << fmt(s.t) << (s.forced ? " (forced)" : "")
+       << ", deficit " << fmt(s.total_deficit) << ", uncovered "
+       << fmt(s.uncovered_points);
+    if (!s.holes.empty()) {
+      os << ", " << s.holes.size() << " hole"
+         << (s.holes.size() == 1 ? "" : "s");
     }
     os << "</figcaption></figure>\n";
   }
@@ -196,17 +163,15 @@ void render_field_section(std::ostream& os, const Artifact& a,
 
   // Hole inventory of the last rendered snapshot: the holes that still
   // matter when the artifact ends.
-  const auto& last = a.records.back();
-  if (const auto* holes = last.find("holes");
-      holes != nullptr && !holes->items().empty()) {
-    os << "<h3>Holes at t=" << fmt(last.number_at("t")) << "</h3>\n"
+  const auto& last = a.field.back();
+  if (!last.holes.empty()) {
+    os << "<h3>Holes at t=" << fmt(last.t) << "</h3>\n"
        << "<table><tr><th>points</th><th>area</th><th>centroid</th>"
           "<th>max deficit</th></tr>\n";
-    for (const auto& hole : holes->items()) {
-      os << "<tr><td>" << fmt(hole.number_at("points")) << "</td><td>"
-         << fmt(hole.number_at("area")) << "</td><td>"
-         << fmt(hole.number_at("cx")) << "," << fmt(hole.number_at("cy"))
-         << "</td><td>" << fmt(hole.number_at("max_deficit"))
+    for (const auto& hole : last.holes) {
+      os << "<tr><td>" << fmt(hole.points) << "</td><td>" << fmt(hole.area)
+         << "</td><td>" << fmt(hole.centroid.x) << ","
+         << fmt(hole.centroid.y) << "</td><td>" << fmt(hole.max_deficit)
          << "</td></tr>\n";
     }
     os << "</table>\n";
@@ -215,71 +180,73 @@ void render_field_section(std::ostream& os, const Artifact& a,
 
 // --- timeline charts -----------------------------------------------------
 
-void render_polyline_chart(std::ostream& os, const std::string& label,
-                           const std::vector<std::pair<double, double>>& pts,
-                           double y_max) {
-  const int w = 640, h = 140, pad = 4;
-  os << "<figure><svg width=\"" << w << "\" height=\"" << h
-     << "\" viewBox=\"0 0 " << w << " " << h
-     << "\" xmlns=\"http://www.w3.org/2000/svg\">"
-     << "<rect width=\"" << w << "\" height=\"" << h
-     << "\" fill=\"#f7f7f7\" stroke=\"#ccc\"/>";
-  if (!pts.empty() && y_max > 0.0) {
-    const double t0 = pts.front().first;
-    const double t1 = pts.back().first;
-    const double span = t1 > t0 ? t1 - t0 : 1.0;
-    os << "<polyline fill=\"none\" stroke=\"#06c\" stroke-width=\"1.5\" "
-          "points=\"";
-    bool first = true;
-    for (const auto& [t, v] : pts) {
-      const double x =
-          pad + (t - t0) / span * static_cast<double>(w - 2 * pad);
-      const double y = static_cast<double>(h - pad) -
-                       std::clamp(v / y_max, 0.0, 1.0) *
-                           static_cast<double>(h - 2 * pad);
-      if (!first) os << ' ';
-      first = false;
-      os << fmt(x) << ',' << fmt(y);
-    }
-    os << "\"/>";
+/// A polyline through timeline samples on a w x h chart: x maps
+/// [t0, t0 + span] across, y maps value(sample) / y_max, clamped to
+/// [0, 1], upwards.
+void render_polyline(std::ostream& os, const char* stroke,
+                     const std::vector<sim::TimelineSample>& samples,
+                     double (*value)(const sim::TimelineSample&),
+                     double y_max, double t0, double span, int w, int h) {
+  const int pad = 4;
+  os << "<polyline fill=\"none\" stroke=\"" << stroke
+     << "\" stroke-width=\"1.5\" points=\"";
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const double x =
+        pad + (samples[i].t - t0) / span * static_cast<double>(w - 2 * pad);
+    const double y = static_cast<double>(h - pad) -
+                     std::clamp(value(samples[i]) / y_max, 0.0, 1.0) *
+                         static_cast<double>(h - 2 * pad);
+    os << (i > 0 ? " " : "") << fmt(x) << ',' << fmt(y);
   }
-  os << "</svg><figcaption>" << html_escape(label);
-  if (!pts.empty()) {
-    os << " — t " << fmt(pts.front().first) << "…" << fmt(pts.back().first)
-       << " s, max " << fmt(y_max);
+  os << "\"/>";
+}
+
+double covered_of(const sim::TimelineSample& s) { return s.covered_fraction; }
+double in_flight_of(const sim::TimelineSample& s) {
+  return static_cast<double>(s.arq_in_flight);
+}
+double alive_of(const sim::TimelineSample& s) {
+  return static_cast<double>(s.alive_nodes);
+}
+
+/// One timeline series as a captioned chart scaled to `y_max` (the
+/// series maximum when `y_max` is 0).
+void render_timeline_chart(std::ostream& os, const std::string& label,
+                           const std::vector<sim::TimelineSample>& samples,
+                           double (*value)(const sim::TimelineSample&),
+                           double y_max = 0.0) {
+  const int w = 640, h = 140;
+  if (y_max == 0.0) {
+    for (const auto& s : samples) y_max = std::max(y_max, value(s));
   }
-  os << "</figcaption></figure>\n";
+  os << "<figure>";
+  open_svg(os, w, h);
+  const double t0 = samples.front().t;
+  const double t1 = samples.back().t;
+  if (y_max > 0.0) {
+    render_polyline(os, "#06c", samples, value, y_max, t0,
+                    t1 > t0 ? t1 - t0 : 1.0, w, h);
+  }
+  os << "</svg><figcaption>" << html_escape(label) << " — t " << fmt(t0)
+     << "…" << fmt(t1) << " s, max " << fmt(y_max)
+     << "</figcaption></figure>\n";
 }
 
 void render_timeline_section(std::ostream& os, const Artifact& a) {
   os << "<h2>Timeline — " << html_escape(a.rel) << "</h2>\n";
-  if (a.records.empty()) {
+  if (a.timeline.empty()) {
     os << "<p>no samples recorded</p>\n";
     return;
   }
-  std::vector<std::pair<double, double>> covered, arq, alive;
-  double arq_max = 0.0, alive_max = 0.0, convergence = -1.0;
-  for (const auto& s : a.records) {
-    const double t = s.number_at("t");
-    covered.emplace_back(t, s.number_at("covered"));
-    const double in_flight = s.number_at("arq_in_flight");
-    arq.emplace_back(t, in_flight);
-    arq_max = std::max(arq_max, in_flight);
-    const double al = s.number_at("alive");
-    alive.emplace_back(t, al);
-    alive_max = std::max(alive_max, al);
-    if (convergence < 0.0 && s.number_at("uncovered", 1.0) == 0.0) {
-      convergence = t;
-    }
-  }
-  os << "<p>" << a.records.size() << " samples; "
+  const double convergence = sim::convergence_time(a.timeline);
+  os << "<p>" << a.timeline.size() << " samples; "
      << (convergence >= 0.0
              ? "first fully covered sample at t=" + fmt(convergence) + " s"
              : std::string("never fully covered while sampling"))
      << "</p>\n";
-  render_polyline_chart(os, "covered fraction", covered, 1.0);
-  render_polyline_chart(os, "ARQ frames in flight", arq, arq_max);
-  render_polyline_chart(os, "alive nodes", alive, alive_max);
+  render_timeline_chart(os, "covered fraction", a.timeline, covered_of, 1.0);
+  render_timeline_chart(os, "ARQ frames in flight", a.timeline, in_flight_of);
+  render_timeline_chart(os, "alive nodes", a.timeline, alive_of);
 }
 
 // --- audit table ---------------------------------------------------------
@@ -287,22 +254,22 @@ void render_timeline_section(std::ostream& os, const Artifact& a) {
 void render_audit_section(std::ostream& os, const Artifact& a,
                           const RunReportOptions& opts) {
   os << "<h2>Placement audit — " << html_escape(a.rel) << "</h2>\n";
-  if (a.records.empty()) {
+  if (a.audit.empty()) {
     os << "<p>no decisions recorded</p>\n";
     return;
   }
   std::map<std::string, std::size_t> reasons;
   std::size_t near_ties = 0;
-  for (const auto& r : a.records) {
-    ++reasons[r.string_at("reason")];
-    const double benefit = r.number_at("benefit");
+  for (const auto& r : a.audit) {
+    ++reasons[r.reason];
     // A runner-up within 10% of the winner is a near-tie: the decision
     // another belief state could plausibly have flipped.
-    if (benefit > 0.0 && r.number_at("runner_up") >= 0.9 * benefit) {
+    const auto benefit = static_cast<double>(r.benefit);
+    if (benefit > 0.0 && static_cast<double>(r.runner_up) >= 0.9 * benefit) {
       ++near_ties;
     }
   }
-  os << "<p>" << a.records.size() << " decisions (";
+  os << "<p>" << a.audit.size() << " decisions (";
   bool first = true;
   for (const auto& [reason, n] : reasons) {
     if (!first) os << ", ";
@@ -314,24 +281,20 @@ void render_audit_section(std::ostream& os, const Artifact& a,
   os << "<table><tr><th>t</th><th>actor</th><th>cell</th><th>reason</th>"
         "<th>point</th><th>pos</th><th>benefit</th><th>runner-up</th>"
         "<th>cands</th><th>newly sat.</th><th>trace</th></tr>\n";
-  const std::size_t shown =
-      std::min(a.records.size(), opts.max_audit_rows);
+  const std::size_t shown = std::min(a.audit.size(), opts.max_audit_rows);
   for (std::size_t i = 0; i < shown; ++i) {
-    const auto& r = a.records[i];
-    os << "<tr><td>" << fmt(r.number_at("t")) << "</td><td>"
-       << fmt(r.number_at("actor")) << "</td><td>" << fmt(r.number_at("cell"))
-       << "</td><td>" << html_escape(r.string_at("reason")) << "</td><td>"
-       << fmt(r.number_at("point")) << "</td><td>" << fmt(r.number_at("x"))
-       << "," << fmt(r.number_at("y")) << "</td><td>"
-       << fmt(r.number_at("benefit")) << "</td><td>"
-       << fmt(r.number_at("runner_up")) << "</td><td>"
-       << fmt(r.number_at("candidates")) << "</td><td>"
-       << fmt(r.number_at("newly_satisfied")) << "</td><td>"
-       << fmt(r.number_at("trace_id")) << "</td></tr>\n";
+    const auto& r = a.audit[i];
+    os << "<tr><td>" << fmt(r.t) << "</td><td>" << fmt(r.actor)
+       << "</td><td>" << fmt(r.cell) << "</td><td>" << html_escape(r.reason)
+       << "</td><td>" << fmt(r.point) << "</td><td>" << fmt(r.pos.x) << ","
+       << fmt(r.pos.y) << "</td><td>" << fmt(r.benefit) << "</td><td>"
+       << fmt(r.runner_up) << "</td><td>" << fmt(r.candidates)
+       << "</td><td>" << fmt(r.newly_satisfied) << "</td><td>"
+       << fmt(r.trace_id) << "</td></tr>\n";
   }
   os << "</table>\n";
-  if (shown < a.records.size()) {
-    os << "<p>" << (a.records.size() - shown)
+  if (shown < a.audit.size()) {
+    os << "<p>" << (a.audit.size() - shown)
        << " further decisions omitted</p>\n";
   }
 }
@@ -343,25 +306,23 @@ void render_trace_section(std::ostream& os, const Artifact& a) {
   std::map<std::string, std::uint64_t> tx_by_kind;
   std::uint64_t tx = 0, rx = 0, drops = 0, acks = 0;
   double convergence = -1.0;
-  for (const auto& row : a.records) {
-    const auto r = sim::trace_record_from_json(row);
-    if (!r) continue;
-    if (r->kind == sim::TraceKind::kProtocol) {
-      if (r->detail == "converged" && convergence < 0.0) convergence = r->at;
+  for (const auto& r : a.trace) {
+    if (r.kind == sim::TraceKind::kProtocol) {
+      if (r.detail == "converged" && convergence < 0.0) convergence = r.at;
       continue;
     }
-    if (r->kind == sim::TraceKind::kRx) ++rx;
-    if (r->kind == sim::TraceKind::kDrop) ++drops;
-    if (r->kind != sim::TraceKind::kTx) continue;
+    if (r.kind == sim::TraceKind::kRx) ++rx;
+    if (r.kind == sim::TraceKind::kDrop) ++drops;
+    if (r.kind != sim::TraceKind::kTx) continue;
     ++tx;
-    const int mk = sim::parse_trace_detail(r->detail).kind;
+    const int mk = sim::parse_trace_detail(r.detail).kind;
     if (mk == net::kAck) {
       ++acks;
       continue;
     }
     ++tx_by_kind[net::msg_kind_label(mk)];
   }
-  os << "<p>" << a.records.size() << " records: " << tx << " tx (" << acks
+  os << "<p>" << a.trace.size() << " records: " << tx << " tx (" << acks
      << " acks), " << rx << " rx, " << drops << " dropped";
   if (convergence >= 0.0) {
     os << "; converged at t=" << fmt(convergence) << " s";
@@ -384,11 +345,8 @@ constexpr const char* kPhaseColors[3] = {"#e80", "#06c", "#c33"};
 void render_phase_waterfall(std::ostream& os, const ExplainDoc& doc) {
   const int w = 640, h = 26;
   const double total = doc.detection + doc.decision + doc.propagation;
-  os << "<figure><svg width=\"" << w << "\" height=\"" << h
-     << "\" viewBox=\"0 0 " << w << " " << h
-     << "\" xmlns=\"http://www.w3.org/2000/svg\">"
-     << "<rect width=\"" << w << "\" height=\"" << h
-     << "\" fill=\"#f7f7f7\" stroke=\"#ccc\"/>";
+  os << "<figure>";
+  open_svg(os, w, h);
   if (total > 0.0) {
     const double phases[3] = {doc.detection, doc.decision, doc.propagation};
     double x = 0.0;
@@ -417,11 +375,8 @@ void render_exchange_waterfall(std::ostream& os, const ExplainExchange& ex) {
   const int w = 640, row = 14, pad = 4;
   const int h = static_cast<int>(shown) * row + 2 * pad;
   const double span = ex.last_t > ex.first_t ? ex.last_t - ex.first_t : 1.0;
-  os << "<figure><svg width=\"" << w << "\" height=\"" << h
-     << "\" viewBox=\"0 0 " << w << " " << h
-     << "\" xmlns=\"http://www.w3.org/2000/svg\">"
-     << "<rect width=\"" << w << "\" height=\"" << h
-     << "\" fill=\"#f7f7f7\" stroke=\"#ccc\"/>";
+  os << "<figure>";
+  open_svg(os, w, h);
   for (std::size_t i = 0; i < shown; ++i) {
     const auto& leg = ex.legs[i];
     const double x = pad + leg.dt / span * (w / 2 - 2 * pad);
@@ -463,22 +418,18 @@ void render_explain_section(std::ostream& os,
      << " trace records</p>\n";
   render_phase_waterfall(os, doc);
   os << "<table><tr><th>critical path step</th><th>detail</th></tr>\n";
-  if (doc.last_hole.present) {
+  if (const auto& h = doc.last_hole) {
     os << "<tr><td>last hole to close</td><td>centroid "
-       << fmt(doc.last_hole.cx) << "," << fmt(doc.last_hole.cy) << ", "
-       << doc.last_hole.points << " points, area " << fmt(doc.last_hole.area)
-       << ", max deficit " << doc.last_hole.max_deficit << " (open at t="
-       << fmt(doc.last_hole.t) << ")</td></tr>\n";
+       << fmt(h->centroid.x) << "," << fmt(h->centroid.y) << ", "
+       << h->points << " points, area " << fmt(h->area) << ", max deficit "
+       << h->max_deficit << " (open at t=" << fmt(doc.last_hole_t)
+       << ")</td></tr>\n";
   }
-  if (doc.closing_placement.present) {
-    os << "<tr><td>closing placement</td><td>t="
-       << fmt(doc.closing_placement.t) << " by node "
-       << doc.closing_placement.actor << " ("
-       << html_escape(doc.closing_placement.reason) << ") at "
-       << fmt(doc.closing_placement.x) << ","
-       << fmt(doc.closing_placement.y) << ", newly satisfied "
-       << doc.closing_placement.newly_satisfied << ", trace "
-       << doc.closing_placement.trace_id << "</td></tr>\n";
+  if (const auto& p = doc.closing_placement) {
+    os << "<tr><td>closing placement</td><td>t=" << fmt(p->t) << " by node "
+       << p->actor << " (" << html_escape(p->reason) << ") at "
+       << fmt(p->pos.x) << "," << fmt(p->pos.y) << ", newly satisfied "
+       << p->newly_satisfied << ", trace " << p->trace_id << "</td></tr>\n";
   }
   if (doc.exchange.present) {
     os << "<tr><td>exchange latency</td><td>"
@@ -535,7 +486,10 @@ void render_manifest_section(std::ostream& os, const Artifact& a) {
     if (v.is_string()) {
       os << html_escape(v.as_string());
     } else {
-      os << html_escape(json_to_string(v));
+      std::ostringstream json;
+      common::JsonWriter w(json);
+      write_json(w, v);
+      os << html_escape(json.str());
     }
     os << "</td></tr>\n";
   }
@@ -566,8 +520,7 @@ void render_run_body(std::ostream& os, const std::vector<Artifact>& artifacts,
   for (const auto& a : artifacts) {
     os << "<tr><td>" << html_escape(a.rel) << "</td><td>" << a.kind
        << "</td><td>"
-       << (a.kind == "manifest" || a.kind == "metrics" ? 1
-                                                       : a.records.size())
+       << (a.kind == "manifest" || a.kind == "metrics" ? 1 : a.rows())
        << "</td><td>" << a.malformed << "</td></tr>\n";
   }
   os << "</table>\n";
@@ -581,7 +534,7 @@ void render_run_body(std::ostream& os, const std::vector<Artifact>& artifacts,
   }
   render_explain_section(os, artifacts);
   for (const auto& a : artifacts) {
-    if (a.kind == "field") render_field_section(os, a, opts);
+    if (a.field_header) render_field_section(os, a, *a.field_header, opts);
   }
   for (const auto& a : artifacts) {
     if (a.kind == "timeline") render_timeline_section(os, a);
@@ -607,42 +560,23 @@ void render_html_head(std::ostream& os, const std::string& title) {
      << "</style></head><body>\n<h1>" << html_escape(title) << "</h1>\n";
 }
 
-/// Per-run summary distilled from the loaded artifacts (the columns of
-/// the aggregate table; the first timeline artifact speaks for the run).
+/// Per-run columns of the aggregate table; the run's first timeline
+/// artifact speaks for it.
 struct RunSummary {
-  std::size_t timeline_samples = 0;
-  double convergence = -1.0;
-  double final_covered = -1.0;
-  double final_alive = 0.0;
+  const std::vector<sim::TimelineSample>* timeline;
   std::size_t field_snapshots = 0;
   std::size_t audit_records = 0;
   std::size_t trace_records = 0;
-  std::vector<std::pair<double, double>> covered_series;
 };
 
 RunSummary summarize_run(const std::vector<Artifact>& artifacts) {
-  RunSummary s;
+  static const std::vector<sim::TimelineSample> kNoSamples;
+  RunSummary s{&kNoSamples};
   for (const auto& a : artifacts) {
-    if (a.kind == "timeline" && s.timeline_samples == 0) {
-      s.timeline_samples = a.records.size();
-      for (const auto& r : a.records) {
-        const double t = r.number_at("t");
-        s.covered_series.emplace_back(t, r.number_at("covered"));
-        if (s.convergence < 0.0 && r.number_at("uncovered", 1.0) == 0.0) {
-          s.convergence = t;
-        }
-      }
-      if (!a.records.empty()) {
-        s.final_covered = a.records.back().number_at("covered");
-        s.final_alive = a.records.back().number_at("alive");
-      }
-    } else if (a.kind == "field") {
-      s.field_snapshots += a.records.size();
-    } else if (a.kind == "audit") {
-      s.audit_records += a.records.size();
-    } else if (a.kind == "trace") {
-      s.trace_records += a.records.size();
-    }
+    if (a.kind == "timeline" && s.timeline->empty()) s.timeline = &a.timeline;
+    s.field_snapshots += a.field.size();
+    s.audit_records += a.audit.size();
+    s.trace_records += a.trace.size();
   }
   return s;
 }
@@ -656,46 +590,22 @@ constexpr std::size_t kRunPaletteSize =
 void render_overlay_chart(
     std::ostream& os,
     const std::vector<std::pair<std::string, RunSummary>>& runs) {
-  const int w = 640, h = 200, pad = 4;
+  const int w = 640, h = 200;
   double t0 = 0.0, t1 = 0.0;
   bool any = false;
   for (const auto& [label, s] : runs) {
-    if (s.covered_series.empty()) continue;
-    if (!any) {
-      t0 = s.covered_series.front().first;
-      t1 = s.covered_series.back().first;
-      any = true;
-    } else {
-      t0 = std::min(t0, s.covered_series.front().first);
-      t1 = std::max(t1, s.covered_series.back().first);
-    }
+    if (s.timeline->empty()) continue;
+    t0 = any ? std::min(t0, s.timeline->front().t) : s.timeline->front().t;
+    t1 = any ? std::max(t1, s.timeline->back().t) : s.timeline->back().t;
+    any = true;
   }
-  os << "<h2>Convergence overlay</h2>\n<figure><svg width=\"" << w
-     << "\" height=\"" << h << "\" viewBox=\"0 0 " << w << " " << h
-     << "\" xmlns=\"http://www.w3.org/2000/svg\">"
-     << "<rect width=\"" << w << "\" height=\"" << h
-     << "\" fill=\"#f7f7f7\" stroke=\"#ccc\"/>";
-  if (any) {
-    const double span = t1 > t0 ? t1 - t0 : 1.0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const auto& series = runs[i].second.covered_series;
-      if (series.empty()) continue;
-      os << "<polyline fill=\"none\" stroke=\""
-         << kRunPalette[i % kRunPaletteSize]
-         << "\" stroke-width=\"1.5\" points=\"";
-      bool first = true;
-      for (const auto& [t, v] : series) {
-        const double x =
-            pad + (t - t0) / span * static_cast<double>(w - 2 * pad);
-        const double y = static_cast<double>(h - pad) -
-                         std::clamp(v, 0.0, 1.0) *
-                             static_cast<double>(h - 2 * pad);
-        if (!first) os << ' ';
-        first = false;
-        os << fmt(x) << ',' << fmt(y);
-      }
-      os << "\"/>";
-    }
+  os << "<h2>Convergence overlay</h2>\n<figure>";
+  open_svg(os, w, h);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].second.timeline->empty()) continue;
+    render_polyline(os, kRunPalette[i % kRunPaletteSize],
+                    *runs[i].second.timeline, covered_of, 1.0, t0,
+                    t1 > t0 ? t1 - t0 : 1.0, w, h);
   }
   os << "</svg><figcaption>covered fraction vs t — ";
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -718,11 +628,6 @@ std::string run_label(const std::string& dir, std::size_t index) {
 }
 
 }  // namespace
-
-std::string render_run_report_html(const std::string& dir,
-                                   const RunReportOptions& opts) {
-  return render_run_report_html(std::vector<std::string>{dir}, opts);
-}
 
 std::string render_run_report_html(const std::vector<std::string>& dirs,
                                    const RunReportOptions& opts) {
@@ -763,14 +668,16 @@ std::string render_run_report_html(const std::vector<std::string>& dirs,
         "<th>warnings</th></tr>\n";
   for (std::size_t i = 0; i < summaries.size(); ++i) {
     const auto& [label, s] = summaries[i];
+    const auto& tl = *s.timeline;
+    const double convergence = sim::convergence_time(tl);
     os << "<tr><td><a href=\"#run-" << i << "\">" << html_escape(label)
-       << "</a></td><td>" << s.timeline_samples << "</td><td>"
-       << (s.convergence >= 0.0 ? fmt(s.convergence) + " s"
-                                : std::string("never"))
+       << "</a></td><td>" << tl.size() << "</td><td>"
+       << (convergence >= 0.0 ? fmt(convergence) + " s" : std::string("never"))
        << "</td><td>"
-       << (s.final_covered >= 0.0 ? fmt(s.final_covered * 100.0) + "%"
-                                  : std::string("-"))
-       << "</td><td>" << fmt(s.final_alive) << "</td><td>"
+       << (tl.empty() ? std::string("-")
+                      : fmt(tl.back().covered_fraction * 100.0) + "%")
+       << "</td><td>" << fmt(tl.empty() ? 0.0 : alive_of(tl.back()))
+       << "</td><td>"
        << s.field_snapshots << "</td><td>" << s.audit_records
        << "</td><td>" << s.trace_records << "</td><td>"
        << warnings[i].size() << "</td></tr>\n";

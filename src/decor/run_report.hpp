@@ -30,24 +30,17 @@ struct RunReportOptions {
   std::size_t max_audit_rows = 200;
 };
 
-/// Renders the report for every recognized artifact under `dir`
-/// (recursively, so flight bundles nested in a run directory are
-/// included). Throws common::RequireError when `dir` is not a readable
-/// directory; unreadable or malformed artifact lines are skipped and
-/// counted in the report itself. Empty or truncated artifacts are
-/// additionally surfaced as counted warnings in the report header.
-std::string render_run_report_html(const std::string& dir,
-                                   const RunReportOptions& opts = {});
-
-/// Multi-run aggregate report: each directory is loaded like the
-/// single-dir form, then the report opens with a run-vs-run summary
-/// table (convergence time, final coverage, placements, warnings) and
-/// an overlaid covered-fraction chart before the per-run sections,
-/// which are anchor-linked from the summary. One directory degrades to
-/// the single-dir layout. Throws common::RequireError when `dirs` is
-/// empty or any entry is not a readable directory. Byte-deterministic
-/// like the single-dir form: labels come from the directory basenames,
-/// never absolute paths.
+/// Renders the report for every recognized artifact under each of
+/// `dirs` (recursively, so flight bundles nested in a run directory are
+/// included). Unreadable, malformed or rejected artifact lines are
+/// skipped and counted in the report itself; empty or truncated
+/// artifacts and rejected field headers are counted warnings in the
+/// report header. Several directories make an aggregate report: a
+/// run-vs-run summary table (convergence time, final coverage,
+/// placements, warnings) and an overlaid covered-fraction chart open it,
+/// anchor-linked to the per-run sections. Labels come from the directory
+/// basenames, never absolute paths. Throws common::RequireError when
+/// `dirs` is empty or any entry is not a readable directory.
 std::string render_run_report_html(const std::vector<std::string>& dirs,
                                    const RunReportOptions& opts = {});
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 #include <ostream>
-#include <set>
 #include <tuple>
 #include <utility>
 
@@ -101,60 +100,54 @@ void append_spark_row(std::string& out, std::size_t cols,
 
 bool DashboardState::ingest(std::string_view stream, std::string_view line) {
   const auto doc = common::parse_json(line);
-  if (!doc || !doc->is_object()) {
-    ++malformed_;
-    return false;
-  }
-  if (doc->find("schema") != nullptr) {
+  // Adds what a reader decoded; false when it rejected the line.
+  const auto take = [this](auto row) {
+    if (row) add(std::move(*row));
+    return row.has_value();
+  };
+  bool ok = doc.has_value() && doc->is_object();
+  if (!ok) {
+    // Not a JSON object: counted below.
+  } else if (doc->find("schema") != nullptr) {
     // Header line: the field header carries the raster geometry; the
     // timeline/metrics/audit headers carry nothing the dashboard needs.
     if (stream == "field") {
-      k_ = doc->number_at<std::uint32_t>("k");
-      field_cols_ = doc->number_at<std::size_t>("cols");
-      field_rows_ = doc->number_at<std::size_t>("rows");
+      field_header_ = coverage::field_header_from_json(*doc);
+      ok = field_header_.has_value();
     }
-    return true;
-  }
-  const auto* tv = doc->find("t");
-  const double t = tv != nullptr ? tv->as_number() : last_t_;
-  last_t_ = std::max(last_t_, t);
-  if (stream == "timeline") {
-    WatchTimelinePoint p;
-    p.t = t;
-    p.covered = doc->number_at("covered");
-    p.uncovered = doc->number_at<std::uint64_t>("uncovered");
-    p.alive = doc->number_at<std::uint64_t>("alive");
-    p.arq_in_flight = doc->number_at<std::uint64_t>("arq_in_flight");
-    if (const auto* v = doc->find("arq_sent")) {
-      p.has_arq = true;
-      p.arq_sent = static_cast<std::uint64_t>(v->as_number());
-      p.arq_retx = doc->number_at<std::uint64_t>("arq_retx");
-    }
-    if (const auto* v = doc->find("reading_bytes")) {
-      p.has_readings = true;
-      p.reading_bytes = static_cast<std::uint64_t>(v->as_number());
-    }
-    timeline_.push_back(p);
+  } else if (stream == "timeline") {
+    ok = take(sim::timeline_sample_from_json(*doc));
   } else if (stream == "field") {
-    ++field_count_;
-    field_t_ = t;
-    if (const auto* v = doc->find("total_deficit")) {
-      field_deficit_ = v->as_number();
-    }
-    field_uncovered_ = doc->number_at<std::uint64_t>("uncovered");
-    if (const auto* v = doc->find("raster"); v != nullptr && v->is_array()) {
-      raster_.clear();
-      raster_.reserve(v->items().size());
-      for (const auto& cell : v->items()) {
-        raster_.push_back(static_cast<std::uint32_t>(cell.as_number()));
-      }
-    }
-  } else if (stream == "metrics") {
-    ++metrics_count_;
+    ok = field_header_ &&
+         take(coverage::field_snapshot_from_json(*doc, *field_header_));
   } else if (stream == "audit") {
-    ++audit_count_;
+    ok = take(sim::audit_record_from_json(*doc));
+  } else if (stream == "metrics") {
+    add_metrics(doc->number_at("t"));
   }
-  return true;
+  if (!ok) ++malformed_;
+  return ok;
+}
+
+void DashboardState::add(sim::TimelineSample s) {
+  last_t_ = std::max(last_t_, s.t);
+  timeline_.push_back(std::move(s));
+}
+
+void DashboardState::add(coverage::FieldSnapshot s) {
+  last_t_ = std::max(last_t_, s.t);
+  ++field_count_;
+  field_ = std::move(s);
+}
+
+void DashboardState::add(const sim::AuditRecord& r) {
+  last_t_ = std::max(last_t_, r.t);
+  ++audit_count_;
+}
+
+void DashboardState::add_metrics(double t) {
+  last_t_ = std::max(last_t_, t);
+  ++metrics_count_;
 }
 
 std::string render_dashboard_frame(const DashboardState& state,
@@ -167,9 +160,9 @@ std::string render_dashboard_frame(const DashboardState& state,
   const auto& tl = state.timeline();
   std::string status = "decor watch  t=" + fmt1(state.last_t()) + "s";
   if (!tl.empty()) {
-    status += "  covered=" + fmt1(tl.back().covered * 100.0) + "%";
-    status += "  alive=" + std::to_string(tl.back().alive);
-    status += "  uncovered=" + std::to_string(tl.back().uncovered);
+    status += "  covered=" + fmt1(tl.back().covered_fraction * 100.0) + "%";
+    status += "  alive=" + std::to_string(tl.back().alive_nodes);
+    status += "  uncovered=" + std::to_string(tl.back().uncovered_points);
   }
   status += "  [tl " + std::to_string(tl.size()) + " | field " +
             std::to_string(state.field_snapshots()) + " | metrics " +
@@ -187,11 +180,11 @@ std::string render_dashboard_frame(const DashboardState& state,
   // cells (max keeps pinhole coverage holes visible after downscaling);
   // raster row 0 is the field's south edge, so display flips vertically.
   const std::size_t heat_rows = rows - 7;
-  if (state.has_field() &&
-      state.raster().size() >= state.field_cols() * state.field_rows()) {
-    const std::size_t fc = state.field_cols();
-    const std::size_t fr = state.field_rows();
-    const std::uint32_t k = std::max<std::uint32_t>(state.k(), 1);
+  if (state.has_field()) {
+    const coverage::FieldHeader& h = *state.field_header();
+    const coverage::FieldSnapshot& snap = *state.field();
+    const std::size_t fc = h.cols;
+    const std::size_t fr = h.rows;
     for (std::size_t r = 0; r < heat_rows; ++r) {
       std::string line;
       const std::size_t rlo = r * fr / heat_rows;
@@ -202,13 +195,13 @@ std::string render_dashboard_frame(const DashboardState& state,
         std::uint32_t d = 0;
         for (std::size_t rr = rlo; rr < rhi && rr < fr; ++rr) {
           for (std::size_t cc = clo; cc < chi && cc < fc; ++cc) {
-            d = std::max(d, state.raster()[(fr - 1 - rr) * fc + cc]);
+            d = std::max(d, snap.raster[(fr - 1 - rr) * fc + cc]);
           }
         }
         if (d == 0) {
           line += ' ';
         } else {
-          const double ratio = static_cast<double>(d) / k;
+          const double ratio = static_cast<double>(d) / h.k;
           line += ratio >= 1.0
                       ? kHeatGlyphs[3]
                       : (ratio > 2.0 / 3.0
@@ -220,11 +213,10 @@ std::string render_dashboard_frame(const DashboardState& state,
       append_padded(out, line, cols);
     }
     append_padded(out,
-                  "field t=" + fmt1(state.field_t()) +
-                      "  deficit=" + fmt1(state.field_deficit()) +
-                      "  uncovered=" +
-                      std::to_string(state.field_uncovered()) + "  k=" +
-                      std::to_string(state.k()) + " raster=" +
+                  "field t=" + fmt1(snap.t) + "  deficit=" +
+                      fmt1(static_cast<double>(snap.total_deficit)) +
+                      "  uncovered=" + std::to_string(snap.uncovered_points) +
+                      "  k=" + std::to_string(h.k) + " raster=" +
                       std::to_string(fc) + "x" + std::to_string(fr),
                   cols);
   } else {
@@ -244,13 +236,13 @@ std::string render_dashboard_frame(const DashboardState& state,
   bool any_arq = false;
   bool any_readings = false;
   for (const auto& p : tl) {
-    any_arq = any_arq || p.has_arq;
+    any_arq = any_arq || p.has_arq_detail;
     any_readings = any_readings || p.has_readings;
   }
   for (std::size_t i = 0; i < tl.size(); ++i) {
     const auto& p = tl[i];
-    covered.push_back(p.covered * 100.0);
-    alive.push_back(static_cast<double>(p.alive));
+    covered.push_back(p.covered_fraction * 100.0);
+    alive.push_back(static_cast<double>(p.alive_nodes));
     if (any_arq) {
       retx.push_back(p.arq_sent > 0 ? 100.0 *
                                           static_cast<double>(p.arq_retx) /
@@ -267,7 +259,7 @@ std::string render_dashboard_frame(const DashboardState& state,
                 : static_cast<double>(p.reading_bytes);
       goodput.push_back(dt > 0.0 ? db / dt : 0.0);
     } else {
-      goodput.push_back(static_cast<double>(p.uncovered));
+      goodput.push_back(static_cast<double>(p.uncovered_points));
     }
   }
   append_spark_row(out, cols, "covered %", covered);
@@ -287,23 +279,11 @@ void emit_frame(const DashboardState& state, const WatchOptions& opts,
   if (!opts.ansi) out << "\f\n";
 }
 
-/// Dashboard stream name for a classified artifact kind, or "" to skip
-/// the file (trace dumps and whole-file documents are irrelevant here).
-std::string stream_for_kind(const std::string& kind) {
-  if (kind == "timeline") return "timeline";
-  if (kind == "field") return "field";
-  if (kind == "metrics-stream") return "metrics";
-  if (kind == "audit") return "audit";
-  return "";
-}
-
 struct ReplayEvent {
   double t;
   int rank;  ///< timeline < field < metrics/audit at equal t
   std::size_t file;
-  std::size_t line;
-  std::string stream;
-  std::string text;
+  std::size_t row;
 };
 
 }  // namespace
@@ -316,47 +296,51 @@ std::size_t watch_replay_dir(const std::string& dir,
   std::vector<ReplayEvent> events;
   for (std::size_t fi = 0; fi < artifacts.size(); ++fi) {
     const auto& a = artifacts[fi];
-    const std::string stream = stream_for_kind(a.kind);
-    if (stream.empty() || a.header_line.empty()) continue;
     // Headers configure the state up front (the bus replays them the
-    // same way to late-attached sinks), data lines are merged by time.
-    state.ingest(stream, a.header_line);
-    const int rank = stream == "timeline" ? 0 : stream == "field" ? 1 : 2;
-    double prev_t = 0.0;
-    for (std::size_t li = 0; li < a.records.size(); ++li) {
-      double t = prev_t;
-      if (const auto* tv = a.records[li].find("t")) t = tv->as_number();
-      prev_t = t;
-      events.push_back({t, rank, fi, li, stream, a.lines[li]});
+    // same way to late-attached sinks), data rows are merged by time.
+    if (a.field_header) state.set_field_header(*a.field_header);
+    const auto merge = [&](const auto& rows, int rank) {
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        events.push_back({rows[i].t, rank, fi, i});
+      }
+    };
+    merge(a.timeline, 0);
+    merge(a.field, 1);
+    merge(a.audit, 2);
+    if (a.kind != "metrics-stream") continue;
+    double t = 0.0;  // a snapshot without `t` sorts with its predecessor
+    for (std::size_t i = 0; i < a.records.size(); ++i) {
+      t = a.records[i].number_at("t", t);
+      events.push_back({t, 2, fi, i});
     }
   }
   std::sort(events.begin(), events.end(),
             [](const ReplayEvent& a, const ReplayEvent& b) {
-              return std::tie(a.t, a.rank, a.file, a.line) <
-                     std::tie(b.t, b.rank, b.file, b.line);
+              return std::tie(a.t, a.rank, a.file, a.row) <
+                     std::tie(b.t, b.rank, b.file, b.row);
             });
 
   std::size_t total_frames = 0;
   for (const auto& e : events) {
-    if (e.stream == "timeline" || e.stream == "field") ++total_frames;
+    if (e.rank < 2) ++total_frames;
   }
-  // Even subsampling with first and last kept, mirroring how the HTML
-  // report picks heatmaps.
-  std::set<std::size_t> chosen;
-  if (opts.max_frames > 0 && total_frames > opts.max_frames) {
-    const std::size_t n = opts.max_frames;
-    for (std::size_t j = 0; j < n; ++j) {
-      chosen.insert(n > 1 ? j * (total_frames - 1) / (n - 1)
-                          : total_frames - 1);
-    }
-  }
+  const auto chosen = even_subsample(total_frames, opts.max_frames);
 
   std::size_t frame_idx = 0;
   std::size_t written = 0;
   for (const auto& e : events) {
-    state.ingest(e.stream, e.text);
-    if (e.stream != "timeline" && e.stream != "field") continue;
-    if (chosen.empty() || chosen.count(frame_idx) > 0) {
+    const Artifact& a = artifacts[e.file];
+    if (a.kind == "timeline") {
+      state.add(a.timeline[e.row]);
+    } else if (a.kind == "field") {
+      state.add(a.field[e.row]);
+    } else if (a.kind == "audit") {
+      state.add(a.audit[e.row]);
+    } else {
+      state.add_metrics(e.t);
+    }
+    if (e.rank == 2) continue;
+    if (std::binary_search(chosen.begin(), chosen.end(), frame_idx)) {
       emit_frame(state, opts, out);
       ++written;
     }

@@ -7,14 +7,14 @@
 // sparklines for coverage %, alive nodes, the ARQ retransmission ratio
 // and data-plane goodput. Two feeding modes share one DashboardState:
 //
-//   * replay: a completed run directory (or flight bundle) is scanned
-//     for JSONL artifacts, their lines merged in time order, and one
-//     frame rendered per timeline/field event;
+//   * replay: a completed run directory (or flight bundle) is loaded
+//     through the artifact loader, its typed rows merged in time order,
+//     and one frame rendered per timeline/field event;
 //   * follow: a DTLM frame stream (`--telemetry=-` piped from a live
 //     `decor sim`, a capture file, or stdin) is consumed incrementally.
 //
 // Rendering is byte-deterministic: frames depend only on the ingested
-// lines and the requested geometry — identical artifacts produce
+// rows and the requested geometry — identical artifacts produce
 // identical frames (the golden-frame test diffs renderer output).
 #pragma once
 
@@ -22,53 +22,51 @@
 #include <cstdint>
 #include <cstdio>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "coverage/field_recorder.hpp"
+#include "sim/audit_log.hpp"
+#include "sim/timeline.hpp"
+
 namespace decor::core {
 
-/// One ingested decor.timeline.v1 sample (only the dashboard's columns).
-struct WatchTimelinePoint {
-  double t = 0.0;
-  double covered = 0.0;  ///< fraction in [0,1]
-  std::uint64_t uncovered = 0;
-  std::uint64_t alive = 0;
-  std::uint64_t arq_in_flight = 0;
-  /// --timeline-arq columns (absent on historical timelines).
-  bool has_arq = false;
-  std::uint64_t arq_sent = 0;
-  std::uint64_t arq_retx = 0;
-  /// Data-plane columns (absent unless the workload ran).
-  bool has_readings = false;
-  std::uint64_t reading_bytes = 0;
-};
-
-/// Accumulated dashboard inputs; fed one JSONL line at a time.
+/// Accumulated dashboard inputs: the timeline so far and the latest field
+/// snapshot; metrics snapshots and audit records are only counted.
 class DashboardState {
  public:
-  /// Ingests one line from stream `stream` ("timeline", "field",
-  /// "metrics", "audit"; other names are ignored). Header lines (any
-  /// object with a "schema" member) configure the state — the field
-  /// header carries k and the raster geometry. Returns false for lines
-  /// that do not parse as JSON (counted in malformed()).
+  /// Ingests one JSONL line from stream `stream` ("timeline", "field",
+  /// "metrics", "audit"; other names are ignored) through its schema's
+  /// reader. Header lines (any object with a "schema" member) configure
+  /// the state; the field header carries k and the raster geometry.
+  /// Returns false, counting the line in malformed(), for a line that
+  /// does not parse or that the reader rejects.
   bool ingest(std::string_view stream, std::string_view line);
 
-  const std::vector<WatchTimelinePoint>& timeline() const noexcept {
+  /// Typed feeds, as replay hands over the loader's rows.
+  void set_field_header(const coverage::FieldHeader& h) { field_header_ = h; }
+  void add(sim::TimelineSample s);
+  void add(coverage::FieldSnapshot s);
+  void add(const sim::AuditRecord& r);
+  void add_metrics(double t);
+
+  const std::vector<sim::TimelineSample>& timeline() const noexcept {
     return timeline_;
   }
+  const std::optional<coverage::FieldHeader>& field_header() const noexcept {
+    return field_header_;
+  }
+  /// The latest field snapshot, if any.
+  const std::optional<coverage::FieldSnapshot>& field() const noexcept {
+    return field_;
+  }
+  /// The latest snapshot is drawn on the current header's raster.
   bool has_field() const noexcept {
-    return field_cols_ > 0 && field_rows_ > 0 && !raster_.empty();
+    return field_header_ && field_ &&
+           field_->raster.size() == field_header_->cols * field_header_->rows;
   }
-  std::uint32_t k() const noexcept { return k_; }
-  std::size_t field_cols() const noexcept { return field_cols_; }
-  std::size_t field_rows() const noexcept { return field_rows_; }
-  const std::vector<std::uint32_t>& raster() const noexcept {
-    return raster_;
-  }
-  double field_t() const noexcept { return field_t_; }
-  double field_deficit() const noexcept { return field_deficit_; }
-  std::uint64_t field_uncovered() const noexcept { return field_uncovered_; }
   std::size_t field_snapshots() const noexcept { return field_count_; }
   std::size_t metrics_snapshots() const noexcept { return metrics_count_; }
   std::size_t audit_records() const noexcept { return audit_count_; }
@@ -82,14 +80,9 @@ class DashboardState {
   std::uint64_t dropped_frames() const noexcept { return dropped_frames_; }
 
  private:
-  std::vector<WatchTimelinePoint> timeline_;
-  std::uint32_t k_ = 0;
-  std::size_t field_cols_ = 0;
-  std::size_t field_rows_ = 0;
-  std::vector<std::uint32_t> raster_;
-  double field_t_ = 0.0;
-  double field_deficit_ = 0.0;
-  std::uint64_t field_uncovered_ = 0;
+  std::vector<sim::TimelineSample> timeline_;
+  std::optional<coverage::FieldHeader> field_header_;
+  std::optional<coverage::FieldSnapshot> field_;
   std::size_t field_count_ = 0;
   std::size_t metrics_count_ = 0;
   std::size_t audit_count_ = 0;

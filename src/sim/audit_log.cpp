@@ -25,4 +25,23 @@ std::string AuditLog::record_json(const AuditRecord& r) {
   return os.str();
 }
 
+std::optional<AuditRecord> audit_record_from_json(
+    const common::JsonValue& row) {
+  const auto t = common::data_row_time(row);
+  if (!t) return std::nullopt;
+  AuditRecord r;
+  r.t = *t;
+  r.actor = row.number_at<std::uint64_t>("actor");
+  r.cell = row.number_at<std::int64_t>("cell", -1);
+  r.reason = row.string_at("reason");
+  r.point = row.number_at<std::uint64_t>("point");
+  r.pos = {row.number_at("x"), row.number_at("y")};
+  r.benefit = row.number_at<std::uint64_t>("benefit");
+  r.runner_up = row.number_at<std::uint64_t>("runner_up");
+  r.candidates = row.number_at<std::uint64_t>("candidates");
+  r.newly_satisfied = row.number_at<std::uint64_t>("newly_satisfied");
+  r.trace_id = row.number_at<std::uint64_t>("trace_id");
+  return r;
+}
+
 }  // namespace decor::sim

@@ -17,11 +17,16 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/telemetry.hpp"
 #include "geometry/point.hpp"
+
+namespace decor::common {
+class JsonValue;
+}
 
 namespace decor::sim {
 
@@ -50,6 +55,8 @@ struct AuditRecord {
   std::uint64_t newly_satisfied = 0;
   /// Trace id of the kPlacement exchange this decision caused.
   std::uint64_t trace_id = 0;
+
+  bool operator==(const AuditRecord&) const = default;
 };
 
 class AuditLog {
@@ -75,5 +82,10 @@ class AuditLog {
   common::TelemetryChannel channel_{common::TelemetryStream::kAudit,
                                     "{\"schema\":\"decor.audit.v1\"}"};
 };
+
+/// The reader twin of AuditLog::record_json: the record a parsed row
+/// holds, or nullopt when common::data_row_time rejects the row.
+std::optional<AuditRecord> audit_record_from_json(
+    const common::JsonValue& row);
 
 }  // namespace decor::sim

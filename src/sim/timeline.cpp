@@ -38,8 +38,8 @@ void Timeline::write_sample(const TimelineSample& s) {
   if (channel_.wanted()) channel_.publish(timeline_sample_json(s));
 }
 
-Time Timeline::convergence_time() const noexcept {
-  for (const auto& s : samples_) {
+Time convergence_time(const std::vector<TimelineSample>& samples) noexcept {
+  for (const auto& s : samples) {
     if (s.uncovered_points == 0) return s.t;
   }
   return -1.0;
@@ -71,6 +71,33 @@ std::string timeline_sample_json(const TimelineSample& s) {
   }
   os << "}";
   return os.str();
+}
+
+std::optional<TimelineSample> timeline_sample_from_json(
+    const common::JsonValue& row) {
+  const auto t = common::data_row_time(row);
+  const common::JsonValue* uncovered = row.find("uncovered");
+  const auto uncovered_points =
+      uncovered != nullptr ? uncovered->number_as<std::uint64_t>()
+                           : std::nullopt;
+  if (!t || !uncovered_points) return std::nullopt;
+  TimelineSample s;
+  s.t = *t;
+  s.covered_fraction = row.number_at("covered");
+  s.uncovered_points = *uncovered_points;
+  s.alive_nodes = row.number_at<std::uint64_t>("alive");
+  s.arq_in_flight = row.number_at<std::uint64_t>("arq_in_flight");
+  s.leaders = row.string_at("leaders");
+  s.has_readings = row.find("readings") != nullptr;
+  s.readings_delivered = row.number_at<std::uint64_t>("readings");
+  s.reading_bytes = row.number_at<std::uint64_t>("reading_bytes");
+  s.has_invariants = row.find("invariant_violations") != nullptr;
+  s.invariant_violations =
+      row.number_at<std::uint64_t>("invariant_violations");
+  s.has_arq_detail = row.find("arq_sent") != nullptr;
+  s.arq_sent = row.number_at<std::uint64_t>("arq_sent");
+  s.arq_retx = row.number_at<std::uint64_t>("arq_retx");
+  return s;
 }
 
 }  // namespace decor::sim

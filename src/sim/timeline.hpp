@@ -11,12 +11,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/telemetry.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+
+namespace decor::common {
+class JsonValue;
+}
 
 namespace decor::sim {
 
@@ -49,7 +54,14 @@ struct TimelineSample {
   bool has_arq_detail = false;
   std::uint64_t arq_sent = 0;
   std::uint64_t arq_retx = 0;
+
+  bool operator==(const TimelineSample&) const = default;
 };
+
+/// Time of the first sample with zero uncovered points, or a negative
+/// value if coverage never converged within the sampled window: the one
+/// convergence rule of the timeline and of every reader of its rows.
+Time convergence_time(const std::vector<TimelineSample>& samples) noexcept;
 
 class Timeline {
  public:
@@ -79,9 +91,10 @@ class Timeline {
     return samples_;
   }
 
-  /// Time of the first sample with zero uncovered points, or a negative
-  /// value if coverage never converged within the sampled window.
-  Time convergence_time() const noexcept;
+  /// sim::convergence_time of the samples so far.
+  Time convergence_time() const noexcept {
+    return sim::convergence_time(samples_);
+  }
 
   /// The most recent `n` samples, oldest first (flight-recorder tail).
   std::vector<TimelineSample> tail(std::size_t n) const;
@@ -102,5 +115,13 @@ class Timeline {
 /// Serializes one sample as a decor.timeline.v1 JSON line (no trailing
 /// newline); shared by the JSONL sink and the flight recorder.
 std::string timeline_sample_json(const TimelineSample& s);
+
+/// The reader twin of timeline_sample_json: the sample a parsed row
+/// holds, or nullopt when common::data_row_time rejects the row or it
+/// has no `uncovered` count. That member has no default, since 0 would
+/// read a damaged row as convergence. An optional column group is
+/// present when its first member is.
+std::optional<TimelineSample> timeline_sample_from_json(
+    const common::JsonValue& row);
 
 }  // namespace decor::sim

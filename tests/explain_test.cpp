@@ -76,7 +76,7 @@ TEST(Explain, GoldenRunRoundTripsThroughJson) {
 TEST(Explain, GoldenRunClosingPlacementMatchesAuditLog) {
   const auto doc = core::explain_run_dir(golden_dir());
   ASSERT_TRUE(doc.converged);
-  ASSERT_TRUE(doc.closing_placement.present);
+  ASSERT_TRUE(doc.closing_placement.has_value());
 
   // Reload the raw audit log and find the last decision at or before the
   // convergence instant: the explain walk must name exactly that record
@@ -102,11 +102,11 @@ TEST(Explain, GoldenRunClosingPlacementMatchesAuditLog) {
   ASSERT_FALSE(best.empty());
   const auto rec = common::parse_json(best);
   ASSERT_TRUE(rec.has_value());
-  EXPECT_DOUBLE_EQ(doc.closing_placement.t, rec->find("t")->as_number());
-  EXPECT_EQ(doc.closing_placement.actor,
+  EXPECT_DOUBLE_EQ(doc.closing_placement->t, rec->find("t")->as_number());
+  EXPECT_EQ(doc.closing_placement->actor,
             static_cast<std::uint32_t>(rec->find("actor")->as_number()));
-  EXPECT_DOUBLE_EQ(doc.closing_placement.x, rec->find("x")->as_number());
-  EXPECT_DOUBLE_EQ(doc.closing_placement.y, rec->find("y")->as_number());
+  EXPECT_DOUBLE_EQ(doc.closing_placement->pos.x, rec->find("x")->as_number());
+  EXPECT_DOUBLE_EQ(doc.closing_placement->pos.y, rec->find("y")->as_number());
 }
 
 TEST(Explain, GoldenRunPhasesSumToConvergenceTime) {
@@ -122,7 +122,7 @@ TEST(Explain, GoldenRunPhasesSumToConvergenceTime) {
 
 TEST(Explain, GoldenRunHasCriticalPathAndHealth) {
   const auto doc = core::explain_run_dir(golden_dir());
-  EXPECT_TRUE(doc.last_hole.present);
+  EXPECT_TRUE(doc.last_hole.has_value());
   ASSERT_TRUE(doc.exchange.present);
   EXPECT_TRUE(doc.exchange.completed);
   EXPECT_GE(doc.exchange.last_t, doc.exchange.first_t);
@@ -269,8 +269,8 @@ TEST_F(SyntheticRunDir, AuditsWithoutCausalityIdsAreCountedWarnings) {
 
   const auto doc = core::explain_run_dir(dir_.string());
   EXPECT_TRUE(doc.converged);
-  ASSERT_TRUE(doc.closing_placement.present);
-  EXPECT_DOUBLE_EQ(doc.closing_placement.t, 0.9);
+  ASSERT_TRUE(doc.closing_placement.has_value());
+  EXPECT_DOUBLE_EQ(doc.closing_placement->t, 0.9);
   EXPECT_FALSE(doc.exchange.present);
   EXPECT_TRUE(has_warning(doc, "2 audit records carry no causality id"));
   EXPECT_TRUE(has_warning(doc, "closing placement carries no causality id"));
@@ -290,7 +290,7 @@ TEST_F(SyntheticRunDir, TruncatedTraceRingIsAWarningNotAFailure) {
 
   const auto doc = core::explain_run_dir(dir_.string());
   EXPECT_TRUE(doc.converged);
-  ASSERT_TRUE(doc.closing_placement.present);
+  ASSERT_TRUE(doc.closing_placement.has_value());
   EXPECT_FALSE(doc.exchange.present);
   EXPECT_TRUE(has_warning(doc, "not in the trace"));
   EXPECT_TRUE(has_warning(doc, "1 audited placement have no trace records"));
@@ -330,8 +330,8 @@ TEST_F(SyntheticRunDir, MissingArtifactsDegradeToWarnings) {
   write("timeline.jsonl", timeline());
   const auto doc = core::explain_run_dir(dir_.string());
   EXPECT_TRUE(doc.converged);
-  EXPECT_FALSE(doc.closing_placement.present);
-  EXPECT_FALSE(doc.last_hole.present);
+  EXPECT_FALSE(doc.closing_placement.has_value());
+  EXPECT_FALSE(doc.last_hole.has_value());
   EXPECT_FALSE(doc.exchange.present);
   EXPECT_TRUE(has_warning(doc, "no decor.audit.v1 artifact"));
   EXPECT_TRUE(has_warning(doc, "no decor.field.v1 artifact"));
@@ -364,6 +364,11 @@ TEST_F(SyntheticRunDir, TimelineRowWithoutUncoveredIsNotConvergence) {
   const auto doc = core::explain_run_dir(dir_.string());
   EXPECT_FALSE(doc.converged);
   EXPECT_TRUE(has_warning(doc, "never converged"));
+  // The loader rejects and counts the row; explain sees two samples.
+  EXPECT_EQ(doc.timeline_samples, 2u);
+  const auto artifacts = core::load_run_artifacts(dir_.string(), "test");
+  ASSERT_EQ(artifacts.size(), 1u);
+  EXPECT_EQ(artifacts.front().malformed, 1u);
 }
 
 TEST_F(SyntheticRunDir, NotADirectoryThrows) {

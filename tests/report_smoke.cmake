@@ -2,13 +2,16 @@
 # armed must render via `decor report html` into byte-identical HTML —
 # twice from the same artifacts AND from a fresh same-seed run — and
 # `decor bench diff` must exit 0 on identical documents, 3 beyond
-# --fail-over, and 1 on garbage input.
+# --fail-over, and 1 on garbage input. Empty and damaged artifacts are
+# counted warnings or malformed lines, never failed renders.
 #
 # Invoked by ctest as:
-#   cmake -DBIN=<decor_cli> -DBENCH=<BENCH_fig10.json> -DOUT=<scratch dir>
-#         -P report_smoke.cmake
-if(NOT DEFINED BIN OR NOT DEFINED BENCH OR NOT DEFINED OUT)
-  message(FATAL_ERROR "report_smoke.cmake needs -DBIN=, -DBENCH= and -DOUT=")
+#   cmake -DBIN=<decor_cli> -DBENCH=<BENCH_fig10.json>
+#         -DGOLDEN=<tests/golden> -DOUT=<scratch dir> -P report_smoke.cmake
+if(NOT DEFINED BIN OR NOT DEFINED BENCH OR NOT DEFINED GOLDEN
+   OR NOT DEFINED OUT)
+  message(FATAL_ERROR
+          "report_smoke.cmake needs -DBIN=, -DBENCH=, -DGOLDEN= and -DOUT=")
 endif()
 
 file(REMOVE_RECURSE ${OUT})
@@ -131,6 +134,56 @@ file(READ ${OUT}/run3.html warn_html)
 string(FIND "${warn_html}" "artifact warnings: 1" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "empty artifact did not surface as a counted warning")
+endif()
+
+# A damaged field row is a counted malformed line, never a drawn cell:
+# a first raster cell of -1 in the golden field file leaves the other
+# snapshots on their own colour scale, whose deficit-1 cells stay full
+# red. A damaged field header (no columns) is a warning and draws no
+# heatmap.
+file(READ ${GOLDEN}/explain_run/field.jsonl field)
+string(FIND "${field}" "\"raster\":[0," at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "golden field file no longer opens on a 0 cell")
+endif()
+math(EXPR at "${at} + 10")
+string(SUBSTRING "${field}" 0 ${at} head)
+math(EXPR at "${at} + 1")
+string(SUBSTRING "${field}" ${at} -1 tail)
+string(REPLACE "\"cols\":8," "\"cols\":0," bad_header "${field}")
+file(MAKE_DIRECTORY ${OUT}/run4 ${OUT}/run5)
+file(WRITE ${OUT}/run4/field.jsonl "${head}-1${tail}")
+file(WRITE ${OUT}/run5/field.jsonl "${bad_header}")
+foreach(run run4 run5)
+  execute_process(
+    COMMAND ${BIN} report html ${OUT}/${run} --out=${OUT}/${run}.html
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "report on a damaged field file must still render "
+                        "(${run}, rc=${rc})")
+  endif()
+endforeach()
+file(READ ${OUT}/run4.html bad_row_html)
+string(REGEX MATCH "<td>field</td><td>[0-9]+</td><td>1</td>" m
+       "${bad_row_html}")
+if(m STREQUAL "")
+  message(FATAL_ERROR "the damaged field row is not one malformed line")
+endif()
+string(FIND "${bad_row_html}" "rgb(255,0,0)" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "the damaged field row flattened the colour scale")
+endif()
+file(READ ${OUT}/run5.html bad_header_html)
+foreach(needle "artifact warnings: 1" "rejected decor.field.v1 header")
+  string(FIND "${bad_header_html}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "the damaged field header is missing '${needle}'")
+  endif()
+endforeach()
+string(FIND "${bad_header_html}" "Field snapshots" pos)
+if(NOT pos EQUAL -1)
+  message(FATAL_ERROR "a rejected field header still drew heatmaps")
 endif()
 
 # An unreadable directory is an error, not an empty report.

@@ -17,12 +17,15 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/profile.hpp"
 #include "common/provenance.hpp"
 #include "common/require.hpp"
+#include "coverage/field_recorder.hpp"
 #include "decor/decor.hpp"
 #include "decor/voronoi_sim.hpp"
 #include "net/messages.hpp"
+#include "sim/audit_log.hpp"
 #include "sim/flight_recorder.hpp"
 #include "sim/timeline.hpp"
 #include "sim/trace_export.hpp"
@@ -246,6 +249,72 @@ TEST(Timeline, JsonlSinkWritesSchemaAndSamples) {
     ++lines;
   }
   EXPECT_EQ(lines, expected_samples);
+}
+
+// --- reader twins ---------------------------------------------------------
+
+/// Every timeline sample, field header and snapshot (with its holes) and
+/// audit record `harness` recorded reads back equal through the reader
+/// twin of its writer.
+void expect_rows_round_trip(core::ProtocolHarness& harness) {
+  const auto& samples = harness.timeline().samples();
+  ASSERT_FALSE(samples.empty());
+  for (const auto& s : samples) {
+    const auto row = common::parse_json(sim::timeline_sample_json(s));
+    ASSERT_TRUE(row.has_value());
+    EXPECT_EQ(sim::timeline_sample_from_json(*row), s) << s.t;
+  }
+
+  const coverage::FieldRecorder* field = harness.field();
+  ASSERT_NE(field, nullptr);
+  const auto header = common::parse_json(field->header_json());
+  ASSERT_TRUE(header.has_value());
+  EXPECT_EQ(coverage::field_header_from_json(*header), field->header());
+  bool any_hole = false;
+  for (const auto& s : field->snapshots()) {
+    const auto row =
+        common::parse_json(coverage::FieldRecorder::snapshot_json(s));
+    ASSERT_TRUE(row.has_value());
+    EXPECT_EQ(coverage::field_snapshot_from_json(*row, field->header()), s)
+        << s.t;
+    any_hole = any_hole || !s.holes.empty();
+  }
+  EXPECT_TRUE(any_hole) << "the run must exercise the hole reader";
+
+  const auto& records = harness.audit().records();
+  ASSERT_FALSE(records.empty());
+  for (const auto& r : records) {
+    const auto row = common::parse_json(sim::AuditLog::record_json(r));
+    ASSERT_TRUE(row.has_value());
+    EXPECT_EQ(sim::audit_record_from_json(*row), r) << r.t;
+  }
+}
+
+TEST(ReaderTwins, GridRunWithEveryTimelineColumnRoundTrips) {
+  auto cfg = grid_small(7);
+  cfg.data_plane.enabled = true;
+  cfg.data_plane.reading_interval = 0.5;
+  cfg.invariant_interval = 0.5;
+  cfg.timeline_arq = true;
+  cfg.timeline_interval = 0.5;
+  cfg.field_interval = 1.0;
+  cfg.audit = true;
+  GridSimHarness harness(cfg);
+  ASSERT_TRUE(harness.run().reached_full_coverage);
+  const auto& first = harness.timeline().samples().front();
+  EXPECT_TRUE(first.has_readings && first.has_invariants &&
+              first.has_arq_detail);
+  expect_rows_round_trip(harness);
+}
+
+TEST(ReaderTwins, VoronoiRunRoundTrips) {
+  core::VoronoiSimConfig cfg{grid_small(9)};
+  cfg.timeline_interval = 0.5;
+  cfg.field_interval = 1.0;
+  cfg.audit = true;
+  core::VoronoiSimHarness harness(cfg);
+  ASSERT_TRUE(harness.run().reached_full_coverage);
+  expect_rows_round_trip(harness);
 }
 
 // --- perfetto export -------------------------------------------------------

@@ -131,17 +131,18 @@ TEST(Watch, IngestParsesStreamsAndCountsMalformed) {
   EXPECT_TRUE(state.ingest("field",
                            "{\"schema\":\"decor.field.v1\",\"k\":3,"
                            "\"cols\":8,\"rows\":2}"));
-  EXPECT_EQ(state.k(), 3u);
-  EXPECT_EQ(state.field_cols(), 8u);
-  EXPECT_EQ(state.field_rows(), 2u);
+  ASSERT_TRUE(state.field_header().has_value());
+  EXPECT_EQ(state.field_header()->k, 3u);
+  EXPECT_EQ(state.field_header()->cols, 8u);
+  EXPECT_EQ(state.field_header()->rows, 2u);
   EXPECT_FALSE(state.has_field());  // geometry alone, no raster yet
 
   EXPECT_TRUE(state.ingest("timeline",
                            "{\"t\":2,\"covered\":0.75,\"uncovered\":3,"
                            "\"alive\":9,\"arq_in_flight\":1}"));
   ASSERT_EQ(state.timeline().size(), 1u);
-  EXPECT_FALSE(state.timeline()[0].has_arq);  // no arq_sent column
-  EXPECT_EQ(state.timeline()[0].alive, 9u);
+  EXPECT_FALSE(state.timeline()[0].has_arq_detail);  // no arq_sent column
+  EXPECT_EQ(state.timeline()[0].alive_nodes, 9u);
   EXPECT_DOUBLE_EQ(state.last_t(), 2.0);
 
   EXPECT_TRUE(state.ingest("metrics", "{\"t\":2,\"counters\":{}}"));
@@ -155,6 +156,23 @@ TEST(Watch, IngestParsesStreamsAndCountsMalformed) {
   // Unknown stream names are ignored without being malformed.
   EXPECT_TRUE(state.ingest("mystery", "{\"t\":9}"));
   EXPECT_EQ(state.malformed(), 2u);
+
+  // The readers reject a raster cell that is no uint32, a raster that
+  // does not fill the header's 8x2 cells, a timeline row without its
+  // uncovered count (not convergence) and a header with no columns.
+  EXPECT_FALSE(state.ingest("field",
+                            "{\"t\":3,\"uncovered\":1,\"raster\":"
+                            "[-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"));
+  EXPECT_FALSE(state.ingest("field", "{\"t\":3,\"raster\":[1,0]}"));
+  EXPECT_FALSE(
+      state.ingest("timeline", "{\"t\":3,\"covered\":1,\"alive\":9}"));
+  EXPECT_FALSE(state.ingest("field",
+                            "{\"schema\":\"decor.field.v1\",\"k\":1,"
+                            "\"cols\":0,\"rows\":2}"));
+  EXPECT_EQ(state.malformed(), 6u);
+  EXPECT_EQ(state.timeline().size(), 1u);
+  EXPECT_EQ(state.field_snapshots(), 0u);
+  EXPECT_FALSE(state.field_header().has_value());
 }
 
 TEST(Watch, FollowResyncsOverInterleavedOutput) {

@@ -902,19 +902,17 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
     // A trace dump survives crashes and kills, so its tail can hold a
     // truncated or garbled line; the loader skips and counts it.
     sim::ExchangeTracker tracker(net::kAck);
-    for (const auto& row : jsonl.records) {
-      const auto r = sim::trace_record_from_json(row);
-      if (!r) continue;  // schema-less header or foreign record
-      ++records;
-      if (r->kind == sim::TraceKind::kProtocol && r->detail == "converged" &&
+    records = jsonl.trace.size();
+    for (const auto& r : jsonl.trace) {
+      if (r.kind == sim::TraceKind::kProtocol && r.detail == "converged" &&
           convergence < 0.0) {
-        convergence = r->at;
+        convergence = r.at;
       }
-      const sim::TraceLeg leg = tracker.add(*r);
+      const sim::TraceLeg leg = tracker.add(r);
       if (leg == sim::TraceLeg::kNone) continue;
-      fold(r->trace_id, r->at, sim::trace_leg_name(leg),
+      fold(r.trace_id, r.at, sim::trace_leg_name(leg),
            leg == sim::TraceLeg::kSend
-               ? net::msg_kind_label(tracker.exchanges().at(r->trace_id).kind)
+               ? net::msg_kind_label(tracker.exchanges().at(r.trace_id).kind)
                : std::string());
     }
   }
@@ -1025,14 +1023,7 @@ bool load_explain_input(const std::string& path, core::ExplainDoc& doc) {
     doc = core::explain_run_dir(path);
     return true;
   }
-  std::ifstream f(path);
-  if (!f.is_open()) {
-    std::cerr << "error: cannot open " << path << "\n";
-    return false;
-  }
-  std::stringstream buf;
-  buf << f.rdbuf();
-  const auto parsed = common::parse_json(buf.str());
+  const auto parsed = common::parse_json_file(path);
   if (!parsed || !core::explain_from_json(*parsed, doc)) {
     std::cerr << "error: " << path
               << " is neither a run directory nor a decor.explain.v1 "
@@ -1134,24 +1125,19 @@ int cmd_explain(const common::Options& opts, CliReport& rep) {
     std::cout << "never converged within the artifacts\n";
   }
   print_phase_line(doc);
-  if (doc.last_hole.present) {
+  if (const auto& h = doc.last_hole) {
     std::cout << "last hole to close: centroid "
-              << common::format_double(doc.last_hole.cx) << ","
-              << common::format_double(doc.last_hole.cy) << " ("
-              << doc.last_hole.points << " points, max deficit "
-              << doc.last_hole.max_deficit << ", open at t="
-              << common::format_double(doc.last_hole.t) << ")\n";
+              << common::format_double(h->centroid.x) << ","
+              << common::format_double(h->centroid.y) << " (" << h->points
+              << " points, max deficit " << h->max_deficit << ", open at t="
+              << common::format_double(doc.last_hole_t) << ")\n";
   }
-  if (doc.closing_placement.present) {
-    std::cout << "closing placement: t="
-              << common::format_double(doc.closing_placement.t) << " node "
-              << doc.closing_placement.actor << " ("
-              << doc.closing_placement.reason << ") at "
-              << common::format_double(doc.closing_placement.x) << ","
-              << common::format_double(doc.closing_placement.y)
-              << ", newly satisfied "
-              << doc.closing_placement.newly_satisfied << ", trace "
-              << doc.closing_placement.trace_id << "\n";
+  if (const auto& p = doc.closing_placement) {
+    std::cout << "closing placement: t=" << common::format_double(p->t)
+              << " node " << p->actor << " (" << p->reason << ") at "
+              << common::format_double(p->pos.x) << ","
+              << common::format_double(p->pos.y) << ", newly satisfied "
+              << p->newly_satisfied << ", trace " << p->trace_id << "\n";
   }
   if (doc.exchange.present) {
     std::cout << "critical exchange: " << doc.exchange.legs.size()
@@ -1269,16 +1255,8 @@ int cmd_bench(const common::Options& opts, CliReport& rep) {
                  "[--fail-over=PCT]\n";
     return 1;
   }
-  const auto load =
-      [](const std::string& path) -> std::optional<common::JsonValue> {
-    std::ifstream f(path);
-    if (!f.is_open()) return std::nullopt;
-    std::stringstream buf;
-    buf << f.rdbuf();
-    return common::parse_json(buf.str());
-  };
-  const auto a = load(pos[1]);
-  const auto b = load(pos[2]);
+  const auto a = common::parse_json_file(pos[1]);
+  const auto b = common::parse_json_file(pos[2]);
   if (!a || !b) {
     std::cerr << "error: cannot read or parse " << (!a ? pos[1] : pos[2])
               << "\n";
