@@ -228,6 +228,9 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
     } else {
       doc.warnings.push_back("field snapshots never show an open hole");
     }
+  } else if (field != nullptr && !field->field_header) {
+    doc.warnings.push_back(
+        "decor.field.v1 header rejected; no field snapshot read");
   } else {
     doc.warnings.push_back("no decor.field.v1 artifact");
   }

@@ -297,8 +297,11 @@ std::size_t watch_replay_dir(const std::string& dir,
   for (std::size_t fi = 0; fi < artifacts.size(); ++fi) {
     const auto& a = artifacts[fi];
     // Headers configure the state up front (the bus replays them the
-    // same way to late-attached sinks), data rows are merged by time.
+    // same way to late-attached sinks), and the lines the loader
+    // rejected count as bad from the first frame; data rows are merged
+    // by time.
     if (a.field_header) state.set_field_header(*a.field_header);
+    state.note_malformed(a.malformed);
     const auto merge = [&](const auto& rows, int rank) {
       for (std::size_t i = 0; i < rows.size(); ++i) {
         events.push_back({rows[i].t, rank, fi, i});

@@ -73,6 +73,8 @@ class DashboardState {
   /// Latest sim time seen on any stream.
   double last_t() const noexcept { return last_t_; }
   std::size_t malformed() const noexcept { return malformed_; }
+  /// Counts `n` lines a loader rejected before they reached the state.
+  void note_malformed(std::size_t n) noexcept { malformed_ += n; }
 
   /// Whole frames a lossy transport shed upstream (DTLM sequence gaps in
   /// follow mode); surfaced on the status line when nonzero.

@@ -139,8 +139,8 @@ endif()
 # A damaged field row is a counted malformed line, never a drawn cell:
 # a first raster cell of -1 in the golden field file leaves the other
 # snapshots on their own colour scale, whose deficit-1 cells stay full
-# red. A damaged field header (no columns) is a warning and draws no
-# heatmap.
+# red. A damaged field header (no columns) is a warning, draws no
+# heatmap, and is the cause explain names.
 file(READ ${GOLDEN}/explain_run/field.jsonl field)
 string(FIND "${field}" "\"raster\":[0," at)
 if(at EQUAL -1)
@@ -175,15 +175,34 @@ if(pos EQUAL -1)
   message(FATAL_ERROR "the damaged field row flattened the colour scale")
 endif()
 file(READ ${OUT}/run5.html bad_header_html)
-foreach(needle "artifact warnings: 1" "rejected decor.field.v1 header")
+foreach(needle "artifact warnings: 1" "rejected decor.field.v1 header"
+        "<li>decor.field.v1 header rejected")
   string(FIND "${bad_header_html}" "${needle}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "the damaged field header is missing '${needle}'")
   endif()
 endforeach()
-string(FIND "${bad_header_html}" "Field snapshots" pos)
-if(NOT pos EQUAL -1)
-  message(FATAL_ERROR "a rejected field header still drew heatmaps")
+foreach(needle "Field snapshots" "no decor.field.v1 artifact")
+  string(FIND "${bad_header_html}" "${needle}" pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR "a rejected field header still shows '${needle}'")
+  endif()
+endforeach()
+
+# Replaying the damaged field row through the dashboard counts it on the
+# status line, as a live feed of the same row would.
+execute_process(
+  COMMAND ${BIN} watch ${OUT}/run4 --cols=96 --rows=14
+          --out=${OUT}/run4-frames.txt
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "decor watch on a damaged field file failed (rc=${rc})")
+endif()
+file(READ ${OUT}/run4-frames.txt bad_row_frames)
+string(FIND "${bad_row_frames}" "!1 bad" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "decor watch replay dropped the damaged row's count")
 endif()
 
 # An unreadable directory is an error, not an empty report.
