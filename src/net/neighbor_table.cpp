@@ -6,7 +6,8 @@ namespace decor::net {
 
 namespace {
 
-/// First entry whose id is not below `id` (const or mutable table).
+/// First pair whose id is not below `id` (entries or departed stamps,
+/// const or mutable).
 template <typename Entries>
 auto lower(Entries& entries, std::uint32_t id) {
   return std::lower_bound(
@@ -14,7 +15,7 @@ auto lower(Entries& entries, std::uint32_t id) {
       [](const auto& e, std::uint32_t key) { return e.first < key; });
 }
 
-/// The entry for `id`, or end().
+/// The pair for `id`, or end().
 template <typename Entries>
 auto find(Entries& entries, std::uint32_t id) {
   const auto it = lower(entries, id);
@@ -23,20 +24,34 @@ auto find(Entries& entries, std::uint32_t id) {
 
 }  // namespace
 
-bool NeighborTable::observe(std::uint32_t id, geom::Point2 pos,
-                            sim::Time now) {
+Observation NeighborTable::observe(std::uint32_t id, geom::Point2 pos,
+                                   sim::Time now, double boot) {
   const auto it = lower(entries_, id);
   if (it != entries_.end() && it->first == id) {
-    it->second = {pos, now};
-    return false;
+    NeighborEntry& e = it->second;
+    const bool rebooted = boot > e.boot;
+    e.pos = pos;
+    e.last_seen = now;
+    if (rebooted) e.boot = boot;
+    return {false, rebooted};
   }
-  entries_.insert(it, {id, {pos, now}});
-  return true;
+  // Heard again after forget(): compare with the stamp it left behind.
+  bool rebooted = false;
+  const auto gone = find(departed_, id);
+  if (gone != departed_.end()) {
+    rebooted = boot > gone->second;
+    boot = std::max(boot, gone->second);
+    departed_.erase(gone);
+  }
+  entries_.insert(it, {id, {pos, now, boot}});
+  return {true, rebooted};
 }
 
 void NeighborTable::forget(std::uint32_t id) {
   const auto it = find(entries_, id);
-  if (it != entries_.end()) entries_.erase(it);
+  if (it == entries_.end()) return;
+  departed_.insert(lower(departed_, id), {id, it->second.boot});
+  entries_.erase(it);
 }
 
 bool NeighborTable::knows(std::uint32_t id) const {

@@ -7,8 +7,9 @@
 //
 // Every HELLO and heartbeat a node hears lands here, so the table is one
 // id-sorted vector the node owns: a reception costs one binary search over
-// contiguous memory, and stale()/snapshot() come out id-ascending without
-// sorting.
+// contiguous memory, which also answers the reboot question (the entry
+// carries the peer's boot stamp), and stale()/snapshot() come out
+// id-ascending without sorting.
 #pragma once
 
 #include <cstdint>
@@ -24,17 +25,31 @@ namespace decor::net {
 struct NeighborEntry {
   geom::Point2 pos;
   sim::Time last_seen = 0.0;
+  /// Latest boot stamp (incarnation) heard from this peer.
+  double boot = 0.0;
+};
+
+/// What one observe() learned about the peer.
+struct Observation {
+  /// `id` was not in the table (first contact, or first since forget()).
+  bool fresh = false;
+  /// The peer's boot stamp is later than any heard from it before, even
+  /// before a forget(): it restarted with fresh protocol state.
+  bool rebooted = false;
 };
 
 class NeighborTable {
  public:
   using Entries = std::vector<std::pair<std::uint32_t, NeighborEntry>>;
 
-  /// Inserts or refreshes a neighbor; returns true when `id` was not in
-  /// the table (first contact, or first since forget()).
-  bool observe(std::uint32_t id, geom::Point2 pos, sim::Time now);
+  /// Inserts or refreshes a neighbor heard at `now` carrying boot stamp
+  /// `boot`.
+  Observation observe(std::uint32_t id, geom::Point2 pos, sim::Time now,
+                      double boot = 0.0);
 
-  /// Removes a neighbor (explicit failure notification).
+  /// Removes a neighbor (explicit failure notification). Its boot stamp
+  /// moves to the departed list, so a later observe() of the same id
+  /// still tells a reboot from a return.
   void forget(std::uint32_t id);
 
   bool knows(std::uint32_t id) const;
@@ -51,6 +66,9 @@ class NeighborTable {
 
  private:
   Entries entries_;
+  /// Boot stamps of forgotten peers, id-sorted; an id is in at most one
+  /// of entries_ and departed_.
+  std::vector<std::pair<std::uint32_t, double>> departed_;
 };
 
 }  // namespace decor::net

@@ -1,7 +1,5 @@
 #include "net/sensor_node.hpp"
 
-#include <algorithm>
-
 #include "sim/world.hpp"
 
 namespace decor::net {
@@ -110,23 +108,17 @@ void SensorNode::broadcast_reliable(sim::Message msg) {
 }
 
 void SensorNode::observe(std::uint32_t from, geom::Point2 p, double boot) {
-  const bool fresh = table_.observe(from, p, world().sim().now());
+  const Observation seen = table_.observe(from, p, world().sim().now(), boot);
   // Reboot-with-amnesia detection: a later boot stamp on a known peer id
   // means the peer restarted with fresh protocol state. Its new seq
   // space must not be filtered through dedup state of the previous
   // incarnation, and any route through it is stale. Never triggers in
   // reboot-free runs (a given id's boot stamp is constant).
-  const auto bit = std::lower_bound(
-      peer_boot_.begin(), peer_boot_.end(), from,
-      [](const auto& b, std::uint32_t key) { return b.first < key; });
-  if (bit == peer_boot_.end() || bit->first != from) {
-    peer_boot_.insert(bit, {from, boot});
-  } else if (boot > bit->second) {
-    bit->second = boot;
+  if (seen.rebooted) {
     if (link_) link_->forget_peer(from);
     if (data_plane_) data_plane_->on_peer_dead(from);
   }
-  if (fresh) on_neighbor_discovered(from, p);
+  if (seen.fresh) on_neighbor_discovered(from, p);
 }
 
 void SensorNode::on_message(const sim::Message& msg) {

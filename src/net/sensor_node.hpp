@@ -8,8 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "net/data_plane.hpp"
 #include "net/heartbeat.hpp"
@@ -109,11 +107,6 @@ class SensorNode : public sim::NodeProcess {
  private:
   void observe(std::uint32_t id, geom::Point2 pos, double boot);
 
-  /// Last boot stamp heard per neighbor id, id-sorted (reboot-with-amnesia
-  /// detection; see observe()). Unlike the table entry, a peer's boot
-  /// record survives forget(): a peer given up on and heard again later
-  /// is still recognised as rebooted.
-  std::vector<std::pair<std::uint32_t, double>> peer_boot_;
   ArqStats* arq_stats_ = nullptr;
   DataPlaneStats* data_stats_ = nullptr;
 };

@@ -16,7 +16,7 @@ using geom::Point2;
 
 TEST(NeighborTable, ObserveAndGet) {
   NeighborTable t;
-  EXPECT_TRUE(t.observe(3, {1, 2}, 5.0));  // first sight
+  EXPECT_TRUE(t.observe(3, {1, 2}, 5.0).fresh);  // first sight
   EXPECT_TRUE(t.knows(3));
   EXPECT_FALSE(t.knows(4));
   const auto e = t.get(3);
@@ -27,8 +27,8 @@ TEST(NeighborTable, ObserveAndGet) {
 
 TEST(NeighborTable, ObserveRefreshes) {
   NeighborTable t;
-  EXPECT_TRUE(t.observe(3, {1, 2}, 5.0));
-  EXPECT_FALSE(t.observe(3, {1.5, 2}, 9.0));  // a refresh is not news
+  EXPECT_TRUE(t.observe(3, {1, 2}, 5.0).fresh);
+  EXPECT_FALSE(t.observe(3, {1.5, 2}, 9.0).fresh);  // a refresh is not news
   EXPECT_EQ(t.size(), 1u);
   EXPECT_DOUBLE_EQ(t.get(3)->last_seen, 9.0);
   EXPECT_DOUBLE_EQ(t.get(3)->pos.x, 1.5);
@@ -53,8 +53,55 @@ TEST(NeighborTable, ForgetRemoves) {
   EXPECT_FALSE(t.knows(1));
   t.forget(99);  // no-op
   // A forgotten id is new again on its next observation.
-  EXPECT_TRUE(t.observe(1, {0, 0}, 2.0));
-  EXPECT_FALSE(t.observe(1, {0, 0}, 3.0));
+  EXPECT_TRUE(t.observe(1, {0, 0}, 2.0).fresh);
+  EXPECT_FALSE(t.observe(1, {0, 0}, 3.0).fresh);
+}
+
+TEST(NeighborTable, LaterBootOnAKnownPeerIsARebootNotNews) {
+  NeighborTable t;
+  auto o = t.observe(4, {0, 0}, 1.0, /*boot=*/10.0);
+  EXPECT_TRUE(o.fresh);
+  EXPECT_FALSE(o.rebooted);  // first contact is never a reboot
+  o = t.observe(4, {0, 0}, 2.0, 10.0);
+  EXPECT_FALSE(o.fresh);
+  EXPECT_FALSE(o.rebooted);
+  o = t.observe(4, {0, 0}, 3.0, 20.0);
+  EXPECT_FALSE(o.fresh);
+  EXPECT_TRUE(o.rebooted);
+  o = t.observe(4, {0, 0}, 4.0, 15.0);  // a late frame of an old boot
+  EXPECT_FALSE(o.rebooted);
+  EXPECT_DOUBLE_EQ(t.get(4)->boot, 20.0);
+}
+
+TEST(NeighborTable, ForgottenPeerWithLaterBootIsFreshAndRebooted) {
+  NeighborTable t;
+  t.observe(4, {0, 0}, 1.0, /*boot=*/10.0);
+  t.forget(4);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_TRUE(t.stale(100.0).empty());
+  const auto o = t.observe(4, {0, 0}, 2.0, 20.0);
+  EXPECT_TRUE(o.fresh);
+  EXPECT_TRUE(o.rebooted);
+  EXPECT_DOUBLE_EQ(t.get(4)->boot, 20.0);
+}
+
+TEST(NeighborTable, ForgottenPeerWithSameOrOlderBootIsOnlyFresh) {
+  NeighborTable t;
+  t.observe(4, {0, 0}, 1.0, /*boot=*/10.0);
+  t.forget(4);
+  auto o = t.observe(4, {0, 0}, 2.0, 10.0);
+  EXPECT_TRUE(o.fresh);
+  EXPECT_FALSE(o.rebooted);
+  t.forget(4);
+  o = t.observe(4, {0, 0}, 3.0, 5.0);
+  EXPECT_TRUE(o.fresh);
+  EXPECT_FALSE(o.rebooted);
+  // The older stamp did not replace the record: 7 is still no reboot.
+  t.forget(4);
+  o = t.observe(4, {0, 0}, 4.0, 7.0);
+  EXPECT_TRUE(o.fresh);
+  EXPECT_FALSE(o.rebooted);
+  EXPECT_DOUBLE_EQ(t.get(4)->boot, 10.0);
 }
 
 TEST(NeighborTable, SnapshotSorted) {
