@@ -7,15 +7,6 @@
 
 namespace decor::geom {
 
-namespace {
-/// Packs two signed cell coordinates into one 64-bit key (exact for
-/// |ix|,|iy| < 2^31, far beyond any realistic field).
-std::int64_t pack_cell(std::int64_t ix, std::int64_t iy) noexcept {
-  return (static_cast<std::int64_t>(static_cast<std::uint32_t>(iy)) << 32) |
-         static_cast<std::int64_t>(static_cast<std::uint32_t>(ix));
-}
-}  // namespace
-
 DynamicSensorIndex::DynamicSensorIndex(const Rect& bounds, double cell_size)
     : bounds_(bounds), cell_size_(std::max(cell_size, 1e-6)) {
   DECOR_REQUIRE_MSG(bounds_.width() > 0 && bounds_.height() > 0,
@@ -58,29 +49,6 @@ Point2 DynamicSensorIndex::position(std::uint32_t id) const {
   auto it = positions_.find(id);
   DECOR_REQUIRE_MSG(it != positions_.end(), "unknown sensor id");
   return it->second;
-}
-
-void DynamicSensorIndex::for_each_in_disc(
-    Point2 center, double radius,
-    const std::function<void(std::uint32_t, Point2)>& fn) const {
-  const double r2 = radius * radius;
-  const auto ix0 = static_cast<std::int64_t>(
-      std::floor((center.x - radius - bounds_.x0) / cell_size_));
-  const auto ix1 = static_cast<std::int64_t>(
-      std::floor((center.x + radius - bounds_.x0) / cell_size_));
-  const auto iy0 = static_cast<std::int64_t>(
-      std::floor((center.y - radius - bounds_.y0) / cell_size_));
-  const auto iy1 = static_cast<std::int64_t>(
-      std::floor((center.y + radius - bounds_.y0) / cell_size_));
-  for (std::int64_t iy = iy0; iy <= iy1; ++iy) {
-    for (std::int64_t ix = ix0; ix <= ix1; ++ix) {
-      auto cell = cells_.find(pack_cell(ix, iy));
-      if (cell == cells_.end()) continue;
-      for (const Resident& r : cell->second) {
-        if (distance_sq(r.pos, center) <= r2) fn(r.id, r.pos);
-      }
-    }
-  }
 }
 
 std::vector<std::uint32_t> DynamicSensorIndex::query_disc(

@@ -100,7 +100,7 @@ bool Radio::pair_cut(std::uint32_t a, std::uint32_t b) const {
 }
 
 bool Radio::frame_reaches(const NodeProcess& src, std::uint32_t dst,
-                          double range) {
+                          geom::Point2 dst_pos, double range) {
   // Partition cuts are deterministic and checked before any randomness,
   // so partition-free runs keep a byte-identical RNG sequence.
   if (!cuts_.empty() && pair_cut(src.id(), dst)) {
@@ -112,11 +112,10 @@ bool Radio::frame_reaches(const NodeProcess& src, std::uint32_t dst,
     return false;
   }
   if (params_.propagation) {
-    return params_.propagation->received(src.pos(), world_.position(dst),
-                                         range, world_.rng());
+    return params_.propagation->received(src.pos(), dst_pos, range,
+                                         world_.rng());
   }
-  return geom::distance_sq(src.pos(), world_.position(dst)) <=
-         range * range;
+  return geom::distance_sq(src.pos(), dst_pos) <= range * range;
 }
 
 void Radio::deliver_later(std::uint32_t dst, const Message& msg) {
@@ -240,20 +239,24 @@ void Radio::broadcast(NodeProcess& src, const Message& msg, double range) {
   charge_tx(src, msg);
   const double query_range =
       params_.propagation ? params_.propagation->max_range(range) : range;
-  for (std::uint32_t dst : world_.nodes_in_disc(src.pos(), query_range)) {
-    if (dst == src.id()) continue;
-    if (!frame_reaches(src, dst, range)) {
-      ++total_dropped_;
-      drop_counter().inc();
-      if (world_.trace().enabled()) {
-        world_.trace().record(world_.sim().now(), TraceKind::kDrop, dst,
-                              "kind=" + std::to_string(msg.kind),
-                              msg.trace_id);
-      }
-      continue;
-    }
-    deliver_later(dst, msg);
-  }
+  // The index hands over each receiver's position from its cell, in the
+  // order the RNG draws depend on. Nothing below spawns or kills a node,
+  // so the walk sees a stable index.
+  world_.index().for_each_in_disc(
+      src.pos(), query_range, [&](std::uint32_t dst, geom::Point2 dst_pos) {
+        if (dst == src.id()) return;
+        if (!frame_reaches(src, dst, dst_pos, range)) {
+          ++total_dropped_;
+          drop_counter().inc();
+          if (world_.trace().enabled()) {
+            world_.trace().record(world_.sim().now(), TraceKind::kDrop, dst,
+                                  "kind=" + std::to_string(msg.kind),
+                                  msg.trace_id);
+          }
+          return;
+        }
+        deliver_later(dst, msg);
+      });
 }
 
 bool Radio::unicast(NodeProcess& src, std::uint32_t dst, const Message& msg,
@@ -278,12 +281,12 @@ bool Radio::unicast(NodeProcess& src, std::uint32_t dst, const Message& msg,
   }
   const double query_range =
       params_.propagation ? params_.propagation->max_range(range) : range;
-  if (geom::distance_sq(src.pos(), world_.position(dst)) >
-      query_range * query_range) {
+  const geom::Point2 dst_pos = world_.position(dst);
+  if (geom::distance_sq(src.pos(), dst_pos) > query_range * query_range) {
     record_drop();
     return false;
   }
-  if (!frame_reaches(src, dst, range)) {
+  if (!frame_reaches(src, dst, dst_pos, range)) {
     record_drop();
     return true;  // sent, lost in the air
   }

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "geometry/point.hpp"
 #include "sim/message.hpp"
 #include "sim/propagation.hpp"
 
@@ -115,7 +116,7 @@ class Radio {
   };
 
   bool frame_reaches(const NodeProcess& src, std::uint32_t dst,
-                     double range);
+                     geom::Point2 dst_pos, double range);
   bool pair_cut(std::uint32_t a, std::uint32_t b) const;
   void deliver_later(std::uint32_t dst, const Message& msg);
   void receive(std::uint32_t frame);
