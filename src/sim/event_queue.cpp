@@ -7,6 +7,11 @@
 
 namespace decor::sim {
 
+namespace {
+/// Children of heap index i sit at kArity * i + 1 ... kArity * i + kArity.
+constexpr std::size_t kArity = 4;
+}  // namespace
+
 EventHandle EventQueue::schedule(Time at, std::function<void()> fn) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
@@ -21,8 +26,7 @@ EventHandle EventQueue::schedule(Time at, std::function<void()> fn) {
   s.seq = seq;
   s.live = true;
   s.fn = std::move(fn);
-  heap_.push_back(Key{at, seq, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  push(Key{at, seq, slot});
   return EventHandle(this, slot, seq);
 }
 
@@ -31,45 +35,69 @@ void EventQueue::cancel(std::uint32_t slot, std::uint64_t seq) noexcept {
   if (!s.live || s.seq != seq) return;  // already ran, or slot reused
   // Free the slot before the callback's captures are destroyed, so a
   // destructor that touches the queue sees it consistent. Its heap key
-  // stays behind and is skipped on pop (lazy deletion).
+  // stays behind until it reaches the front (lazy deletion).
   std::function<void()> dropped = std::move(s.fn);
   s.live = false;
   free_slots_.push_back(slot);
+  drop_cancelled_front();
 }
 
-void EventQueue::skip_cancelled() const {
-  while (!heap_.empty()) {
-    const Key& top = heap_.front();
-    const Slot& s = slots_[top.slot];
-    if (s.live && s.seq == top.seq) return;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+void EventQueue::push(Key key) {
+  std::size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!before(key, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
+  heap_[i] = key;
 }
 
-bool EventQueue::empty() const noexcept {
-  skip_cancelled();
-  return heap_.empty();
+void EventQueue::pop_front() noexcept {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // Sift the former last key down from the root through the smallest
+  // child of each level.
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
+
+void EventQueue::drop_cancelled_front() noexcept {
+  while (!heap_.empty() && !live(heap_.front())) pop_front();
 }
 
 Time EventQueue::next_time() const {
-  skip_cancelled();
   DECOR_REQUIRE_MSG(!heap_.empty(), "next_time on empty event queue");
   return heap_.front().at;
 }
 
 Time EventQueue::pop_and_run() {
-  skip_cancelled();
   DECOR_REQUIRE_MSG(!heap_.empty(), "pop on empty event queue");
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key key = heap_.back();
-  heap_.pop_back();
+  const Key key = heap_.front();
+  pop_front();
   // Move the callback out and free its slot before running it: the
   // callback may schedule, which can reuse the slot or grow the table.
   Slot& s = slots_[key.slot];
   std::function<void()> fn = std::move(s.fn);
   s.live = false;
   free_slots_.push_back(key.slot);
+  // The one cancelled-key check per event: the next front must be live.
+  drop_cancelled_front();
   fn();
   return key.at;
 }

@@ -4,11 +4,16 @@
 // reproducible from its seed — so ties in time are broken by insertion
 // sequence number, never by heap internals.
 //
-// Callbacks live in a slot table recycled through a free list; the binary
-// heap orders small trivially copyable (at, seq, slot) keys. Scheduling
+// Callbacks live in a slot table recycled through a free list; a 4-ary
+// heap orders small trivially copyable (at, seq, slot) keys, which halves
+// the depth a pop sifts through compared with a binary heap. Scheduling
 // and dispatching therefore allocate nothing once the table and heap have
 // grown to the run's peak, unless a callback's captures overflow
 // std::function's inline buffer.
+//
+// A cancelled event's key stays in the heap until it reaches the front;
+// pop and cancel drop such keys there at once, so the front key is
+// always live and empty()/next_time() read it without a check.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +65,7 @@ class EventQueue {
   /// the last popped event).
   EventHandle schedule(Time at, std::function<void()> fn);
 
-  bool empty() const noexcept;
+  bool empty() const noexcept { return heap_.empty(); }
 
   /// Time of the earliest pending (non-cancelled) event.
   Time next_time() const;
@@ -86,18 +91,24 @@ class EventQueue {
     std::uint64_t seq;
     std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  static bool before(const Key& a, const Key& b) noexcept {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
+  /// The key's slot still holds its event (it was not cancelled).
+  bool live(const Key& k) const noexcept {
+    const Slot& s = slots_[k.slot];
+    return s.live && s.seq == k.seq;
+  }
 
   void cancel(std::uint32_t slot, std::uint64_t seq) noexcept;
-  /// Pops keys whose slot no longer holds their event (cancelled).
-  void skip_cancelled() const;
+  void push(Key key);
+  /// Removes the front key.
+  void pop_front() noexcept;
+  /// Pops cancelled keys off the front until a live one leads.
+  void drop_cancelled_front() noexcept;
 
-  mutable std::vector<Key> heap_;
+  std::vector<Key> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t seq_ = 0;

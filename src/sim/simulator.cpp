@@ -30,7 +30,8 @@ void Simulator::run() {
   stopped_ = false;
   while (!stopped_ && !queue_.empty()) {
     // Advance the clock before running the event so the callback observes
-    // its own timestamp (and schedules relative to it).
+    // its own timestamp (and schedules relative to it). The queue's
+    // front is always live, so neither call re-checks for cancellation.
     now_ = queue_.next_time();
     queue_.pop_and_run();
     ++executed_;
@@ -41,8 +42,10 @@ void Simulator::run_until(Time until) {
   DECOR_REQUIRE_MSG(until >= now_, "run_until into the past");
   common::ProfileScope profile(drain_hist());
   stopped_ = false;
-  while (!stopped_ && !queue_.empty() && queue_.next_time() <= until) {
-    now_ = queue_.next_time();
+  while (!stopped_ && !queue_.empty()) {
+    const Time at = queue_.next_time();
+    if (at > until) break;
+    now_ = at;
     queue_.pop_and_run();
     ++executed_;
   }

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/require.hpp"
+#include "common/rng.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -154,6 +159,83 @@ TEST(EventQueue, CallbackGrowingTheSlotTableKeepsOrder) {
     return (a * 3) % 7 < (b * 3) % 7;
   });
   EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueue, MatchesASortedReferenceUnderRandomOperations) {
+  // Seeded differential test: random schedules (times on a coarse grid,
+  // so many share `at`), cancels of live, already-cancelled and
+  // already-run events (stale handles whose slot a later event may now
+  // hold), and pops — some from inside callbacks that cancel or schedule
+  // in turn. The reference is a set ordered by (at, seq); every pop must
+  // run exactly its smallest element.
+  for (const std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
+    decor::common::Rng rng(seed);
+    EventQueue q;
+    std::set<std::tuple<Time, std::uint64_t>> live;  // (at, seq)
+    struct Scheduled {
+      EventHandle handle;
+      Time at;
+      std::uint64_t seq;
+    };
+    std::vector<Scheduled> all;
+    std::vector<std::uint64_t> ran;
+    Time now = 0.0;
+
+    // Declared before use inside callbacks: schedules one event whose
+    // callback records its seq and sometimes cancels another event.
+    std::function<void()> schedule_one;
+    const auto cancel_random = [&] {
+      if (all.empty()) return;
+      const auto& e = all[rng.below(all.size())];
+      live.erase({e.at, e.seq});  // no-op when it ran or was cancelled
+      EventHandle h = e.handle;
+      h.cancel();
+    };
+    schedule_one = [&] {
+      const Time at = now + 0.5 * static_cast<double>(rng.below(4));
+      const std::uint64_t seq = q.scheduled_total();
+      const bool nested = rng.bernoulli(0.2);
+      EventHandle h = q.schedule(at, [&, seq, nested] {
+        ran.push_back(seq);
+        if (nested) {
+          cancel_random();
+          schedule_one();
+        }
+      });
+      all.push_back({h, at, seq});
+      live.insert({at, seq});
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+      const double op = rng.uniform();
+      if (op < 0.45) {
+        schedule_one();
+      } else if (op < 0.6) {
+        cancel_random();
+      } else if (!live.empty()) {
+        ASSERT_FALSE(q.empty());
+        const auto [at, seq] = *live.begin();
+        ASSERT_EQ(q.next_time(), at);
+        live.erase(live.begin());
+        now = at;
+        ran.clear();
+        EXPECT_EQ(q.pop_and_run(), at);
+        ASSERT_FALSE(ran.empty());
+        ASSERT_EQ(ran.front(), seq) << "seed " << seed << " step " << step;
+      } else {
+        ASSERT_TRUE(q.empty());
+      }
+    }
+    while (!live.empty()) {
+      const auto [at, seq] = *live.begin();
+      live.erase(live.begin());
+      now = at;
+      ran.clear();
+      q.pop_and_run();
+      ASSERT_EQ(ran.front(), seq) << "seed " << seed << " drain";
+    }
+    EXPECT_TRUE(q.empty());
+  }
 }
 
 TEST(EventQueue, PopOnEmptyThrows) {
