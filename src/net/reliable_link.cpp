@@ -34,6 +34,21 @@ common::Counter& gave_up_counter() {
 
 constexpr std::uint32_t kNoSeq = std::numeric_limits<std::uint32_t>::max();
 
+/// First per-peer record whose id is not below `peer` (const or mutable).
+template <typename Seen>
+auto lower_peer(Seen& seen, std::uint32_t peer) {
+  return std::lower_bound(
+      seen.begin(), seen.end(), peer,
+      [](const auto& p, std::uint32_t key) { return p.first < key; });
+}
+
+/// The record for `peer`, or end().
+template <typename Seen>
+auto find_peer(Seen& seen, std::uint32_t peer) {
+  const auto it = lower_peer(seen, peer);
+  return it != seen.end() && it->first == peer ? it : seen.end();
+}
+
 }  // namespace
 
 ReliableLink::ReliableLink(sim::NodeProcess& host, ReliableLinkParams params)
@@ -380,7 +395,7 @@ ReliableLink::RxAction ReliableLink::on_frame(const sim::Message& msg) {
     ack.trace_id = msg.trace_id;
     (void)unicast_(msg.src, ack);
     if (stats_) ++stats_->acks_sent;
-    if (!seen_[msg.src].insert(msg.seq).second) {
+    if (!mark_seen(msg.src, msg.seq)) {
       if (stats_) ++stats_->dup_drops;
       dup_counter().inc();
       return RxAction::kDuplicate;
@@ -410,8 +425,26 @@ ReliableLink::RxAction ReliableLink::on_frame(const sim::Message& msg) {
   return RxAction::kDeliver;
 }
 
+bool ReliableLink::mark_seen(std::uint32_t src, std::uint32_t seq) {
+  auto peer = lower_peer(seen_, src);
+  if (peer == seen_.end() || peer->first != src) {
+    peer = seen_.insert(peer, {src, {}});
+  }
+  std::vector<std::uint32_t>& seqs = peer->second;
+  // A sender's seqs mostly arrive in order: the common case appends.
+  if (seqs.empty() || seqs.back() < seq) {
+    seqs.push_back(seq);
+    return true;
+  }
+  const auto at = std::lower_bound(seqs.begin(), seqs.end(), seq);
+  if (at != seqs.end() && *at == seq) return false;
+  seqs.insert(at, seq);
+  return true;
+}
+
 void ReliableLink::forget_peer(std::uint32_t peer) {
-  seen_.erase(peer);
+  const auto it = find_peer(seen_, peer);
+  if (it != seen_.end()) seen_.erase(it);
   rx_.erase(peer);
 }
 
@@ -438,7 +471,7 @@ std::size_t ReliableLink::dedup_entries(std::uint32_t peer) const noexcept {
     const auto it = rx_.find(peer);
     return it == rx_.end() ? 0 : it->second.above.size();
   }
-  const auto it = seen_.find(peer);
+  const auto it = find_peer(seen_, peer);
   return it == seen_.end() ? 0 : it->second.size();
 }
 

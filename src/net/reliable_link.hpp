@@ -42,7 +42,7 @@
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/message.hpp"
@@ -231,6 +231,9 @@ class ReliableLink {
   void note_rtt_sample(PeerTx& peer, double sample);
   void update_rx_floor(RxPeer& rx, std::uint32_t seq,
                        std::uint32_t hint) const;
+  /// Records `seq` as seen from `src` (stop-and-wait dedup); false when
+  /// it had been seen already.
+  bool mark_seen(std::uint32_t src, std::uint32_t seq);
 
   sim::NodeProcess& host_;
   ReliableLinkParams params_;
@@ -241,12 +244,12 @@ class ReliableLink {
 
   std::uint32_t next_seq_ = 1;
   std::unordered_map<std::uint32_t, Outstanding> pending_;
-  // Receiver-side duplicate suppression, keyed by sender (stop-and-wait
-  // mode). Sequence numbers are per-sender unique (one link per node), so
+  // Receiver-side duplicate suppression (stop-and-wait mode): one record
+  // per sender, id-sorted, holding every seq seen from it in ascending
+  // order. Sequence numbers are per-sender unique (one link per node), so
   // a seen-set per peer is exact; bounded in practice by the sender's
   // send count. Windowed receivers use rx_ instead, which is bounded.
-  std::unordered_map<std::uint32_t, std::unordered_set<std::uint32_t>>
-      seen_;
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> seen_;
   // Windowed-mode state. Ordered maps: iteration order must not depend
   // on hash quirks when hints are computed or queues serviced.
   std::map<std::uint32_t, PeerTx> peer_tx_;

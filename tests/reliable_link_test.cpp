@@ -7,7 +7,10 @@
 #include <memory>
 #include <vector>
 
+#include "net/messages.hpp"
+#include "net/reliable_link.hpp"
 #include "net/sensor_node.hpp"
+#include "sim/node.hpp"
 #include "sim/propagation.hpp"
 #include "sim/world.hpp"
 
@@ -144,6 +147,45 @@ TEST(ReliableLink, LostAcksCauseDuplicatesWhichAreSuppressed) {
   EXPECT_GE(pw.stats.dup_drops, 1u);
   EXPECT_GE(pw.stats.acks_sent, 3u);  // original + one per duplicate
   EXPECT_EQ(pw.na().link()->in_flight(), 0u);
+}
+
+TEST(ReliableLink, StopAndWaitDedupIsPerSenderUntilForgotten) {
+  // Frames fed straight into a stop-and-wait receiver: every sequenced
+  // frame is acknowledged, and a seq is a duplicate only when the same
+  // sender used it before.
+  sim::NodeProcess host;
+  net::ReliableLink link(host, net::ReliableLinkParams{});
+  net::ArqStats stats;
+  link.set_stats(&stats);
+  std::vector<std::uint32_t> acked;
+  link.start(
+      [&acked](std::uint32_t, const sim::Message& ack) {
+        acked.push_back(ack.as<net::AckPayload>().seq);
+        return true;
+      },
+      [](const sim::Message&) {}, [](std::uint32_t) {});
+  const auto frame = [](std::uint32_t src, std::uint32_t seq) {
+    sim::Message m = sim::Message::make(src, kTestKind, 0, 16);
+    m.seq = seq;
+    return m;
+  };
+  using Rx = net::ReliableLink::RxAction;
+  EXPECT_EQ(link.on_frame(frame(1, 5)), Rx::kDeliver);
+  EXPECT_EQ(link.on_frame(frame(1, 7)), Rx::kDeliver);
+  EXPECT_EQ(link.on_frame(frame(1, 5)), Rx::kDuplicate);
+  EXPECT_EQ(link.on_frame(frame(1, 6)), Rx::kDeliver);
+  EXPECT_EQ(link.on_frame(frame(2, 5)), Rx::kDeliver);
+  EXPECT_EQ(acked, (std::vector<std::uint32_t>{5, 7, 5, 6, 5}));
+  EXPECT_EQ(stats.dup_drops, 1u);
+  EXPECT_EQ(link.dedup_entries(1), 3u);
+  EXPECT_EQ(link.dedup_entries(2), 1u);
+
+  link.forget_peer(1);
+  EXPECT_EQ(link.dedup_entries(1), 0u);
+  EXPECT_EQ(link.dedup_entries(2), 1u);
+  EXPECT_EQ(link.on_frame(frame(1, 5)), Rx::kDeliver);
+  EXPECT_EQ(link.on_frame(frame(2, 5)), Rx::kDuplicate);
+  EXPECT_EQ(stats.dup_drops, 2u);
 }
 
 TEST(ReliableLink, GivesUpOnDeadPeerAndForgetsNeighbor) {
