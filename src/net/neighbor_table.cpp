@@ -2,31 +2,13 @@
 
 #include <algorithm>
 
+#include "net/id_sorted.hpp"
+
 namespace decor::net {
-
-namespace {
-
-/// First pair whose id is not below `id` (entries or departed stamps,
-/// const or mutable).
-template <typename Entries>
-auto lower(Entries& entries, std::uint32_t id) {
-  return std::lower_bound(
-      entries.begin(), entries.end(), id,
-      [](const auto& e, std::uint32_t key) { return e.first < key; });
-}
-
-/// The pair for `id`, or end().
-template <typename Entries>
-auto find(Entries& entries, std::uint32_t id) {
-  const auto it = lower(entries, id);
-  return it != entries.end() && it->first == id ? it : entries.end();
-}
-
-}  // namespace
 
 Observation NeighborTable::observe(std::uint32_t id, geom::Point2 pos,
                                    sim::Time now, double boot) {
-  const auto it = lower(entries_, id);
+  const auto it = lower_by_id(entries_, id);
   if (it != entries_.end() && it->first == id) {
     NeighborEntry& e = it->second;
     const bool rebooted = boot > e.boot;
@@ -37,7 +19,7 @@ Observation NeighborTable::observe(std::uint32_t id, geom::Point2 pos,
   }
   // Heard again after forget(): compare with the stamp it left behind.
   bool rebooted = false;
-  const auto gone = find(departed_, id);
+  const auto gone = find_by_id(departed_, id);
   if (gone != departed_.end()) {
     rebooted = boot > gone->second;
     boot = std::max(boot, gone->second);
@@ -48,18 +30,18 @@ Observation NeighborTable::observe(std::uint32_t id, geom::Point2 pos,
 }
 
 void NeighborTable::forget(std::uint32_t id) {
-  const auto it = find(entries_, id);
+  const auto it = find_by_id(entries_, id);
   if (it == entries_.end()) return;
-  departed_.insert(lower(departed_, id), {id, it->second.boot});
+  departed_.insert(lower_by_id(departed_, id), {id, it->second.boot});
   entries_.erase(it);
 }
 
 bool NeighborTable::knows(std::uint32_t id) const {
-  return find(entries_, id) != entries_.end();
+  return find_by_id(entries_, id) != entries_.end();
 }
 
 std::optional<NeighborEntry> NeighborTable::get(std::uint32_t id) const {
-  const auto it = find(entries_, id);
+  const auto it = find_by_id(entries_, id);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
 }

@@ -6,6 +6,7 @@
 
 #include "common/metrics.hpp"
 #include "common/require.hpp"
+#include "net/id_sorted.hpp"
 #include "net/messages.hpp"
 #include "sim/world.hpp"
 
@@ -33,21 +34,6 @@ common::Counter& gave_up_counter() {
 }
 
 constexpr std::uint32_t kNoSeq = std::numeric_limits<std::uint32_t>::max();
-
-/// First per-peer record whose id is not below `peer` (const or mutable).
-template <typename Seen>
-auto lower_peer(Seen& seen, std::uint32_t peer) {
-  return std::lower_bound(
-      seen.begin(), seen.end(), peer,
-      [](const auto& p, std::uint32_t key) { return p.first < key; });
-}
-
-/// The record for `peer`, or end().
-template <typename Seen>
-auto find_peer(Seen& seen, std::uint32_t peer) {
-  const auto it = lower_peer(seen, peer);
-  return it != seen.end() && it->first == peer ? it : seen.end();
-}
 
 }  // namespace
 
@@ -426,7 +412,7 @@ ReliableLink::RxAction ReliableLink::on_frame(const sim::Message& msg) {
 }
 
 bool ReliableLink::mark_seen(std::uint32_t src, std::uint32_t seq) {
-  auto peer = lower_peer(seen_, src);
+  auto peer = lower_by_id(seen_, src);
   if (peer == seen_.end() || peer->first != src) {
     peer = seen_.insert(peer, {src, {}});
   }
@@ -443,7 +429,7 @@ bool ReliableLink::mark_seen(std::uint32_t src, std::uint32_t seq) {
 }
 
 void ReliableLink::forget_peer(std::uint32_t peer) {
-  const auto it = find_peer(seen_, peer);
+  const auto it = find_by_id(seen_, peer);
   if (it != seen_.end()) seen_.erase(it);
   rx_.erase(peer);
 }
@@ -471,7 +457,7 @@ std::size_t ReliableLink::dedup_entries(std::uint32_t peer) const noexcept {
     const auto it = rx_.find(peer);
     return it == rx_.end() ? 0 : it->second.above.size();
   }
-  const auto it = find_peer(seen_, peer);
+  const auto it = find_by_id(seen_, peer);
   return it == seen_.end() ? 0 : it->second.size();
 }
 
