@@ -181,8 +181,9 @@ TEST(EventQueue, MatchesASortedReferenceUnderRandomOperations) {
     std::vector<std::uint64_t> ran;
     Time now = 0.0;
 
-    // Declared before use inside callbacks: schedules one event whose
-    // callback records its seq and sometimes cancels another event.
+    // Schedules one event whose callback records its seq and sometimes
+    // cancels another event and schedules one more; declared first so
+    // the callbacks can call it.
     std::function<void()> schedule_one;
     const auto cancel_random = [&] {
       if (all.empty()) return;
