@@ -73,7 +73,8 @@ class EventQueue {
   /// Pops and runs the earliest event; returns its time.
   Time pop_and_run();
 
-  /// Heap keys, including cancelled events not yet skipped.
+  /// Heap keys, including those of cancelled events not yet at the
+  /// front.
   std::size_t pending() const noexcept { return heap_.size(); }
   std::uint64_t scheduled_total() const noexcept { return seq_; }
 
