@@ -1,21 +1,12 @@
 #include "common/otlp.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
-
-#ifndef _WIN32
-#include <netdb.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 namespace decor::common {
 
@@ -72,8 +63,8 @@ void write_resource(JsonWriter& w, const std::string& service) {
 
 }  // namespace
 
-OtlpSink::OtlpSink(const std::string& endpoint, std::string service_name)
-    : endpoint_(endpoint), service_name_(std::move(service_name)) {}
+OtlpSink::OtlpSink(std::string path, std::string service_name)
+    : path_(std::move(path)), service_name_(std::move(service_name)) {}
 
 void OtlpSink::on_event(const TelemetryEvent& e) {
   if (e.header) return;  // schema headers carry no data
@@ -309,78 +300,14 @@ std::string OtlpSink::render_document() const {
   return os.str();
 }
 
-void OtlpSink::flush() { write_to_endpoint(render_document()); }
-
-void OtlpSink::write_to_endpoint(const std::string& doc) {
-  if (endpoint_.rfind("http://", 0) == 0) {
-#ifndef _WIN32
-    // Best-effort blocking POST; export failure must never fail the run.
-    const std::string rest = endpoint_.substr(7);
-    const auto slash = rest.find('/');
-    const std::string hostport =
-        slash == std::string::npos ? rest : rest.substr(0, slash);
-    const std::string path =
-        slash == std::string::npos ? "/v1/traces" : rest.substr(slash);
-    const auto colon = hostport.rfind(':');
-    const std::string host =
-        colon == std::string::npos ? hostport : hostport.substr(0, colon);
-    const std::string port =
-        colon == std::string::npos ? "4318" : hostport.substr(colon + 1);
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    if (getaddrinfo(host.c_str(), port.c_str(), &hints, &res) != 0 || !res) {
-      DECOR_LOG_WARN("otlp: cannot resolve " + endpoint_);
-      return;
-    }
-    int fd = -1;
-    for (addrinfo* ai = res; ai; ai = ai->ai_next) {
-      fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-      if (fd < 0) continue;
-      if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-      ::close(fd);
-      fd = -1;
-    }
-    freeaddrinfo(res);
-    if (fd < 0) {
-      DECOR_LOG_WARN("otlp: cannot connect " + endpoint_);
-      return;
-    }
-    std::ostringstream req;
-    req << "POST " << path << " HTTP/1.1\r\n"
-        << "Host: " << hostport << "\r\n"
-        << "Content-Type: application/json\r\n"
-        << "Content-Length: " << doc.size() << "\r\n"
-        << "Connection: close\r\n\r\n"
-        << doc;
-    const std::string payload = req.str();
-    std::size_t off = 0;
-    while (off < payload.size()) {
-      const ssize_t n = ::write(fd, payload.data() + off, payload.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        DECOR_LOG_WARN("otlp: post failed for " + endpoint_);
-        break;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    char drain[512];
-    while (::read(fd, drain, sizeof drain) > 0) {
-    }
-    ::close(fd);
-#else
-    DECOR_LOG_WARN("otlp: http endpoints unsupported on this platform");
-#endif
-    return;
-  }
-  // File endpoint: rewrite the whole document so flush is idempotent.
-  std::ofstream out(endpoint_, std::ios::out | std::ios::trunc);
+void OtlpSink::flush() {
+  // Rewrite the whole document so flush is idempotent.
+  std::ofstream out(path_, std::ios::out | std::ios::trunc);
   if (!out.is_open()) {
-    DECOR_LOG_ERROR("otlp: cannot open export file: " + endpoint_);
+    DECOR_LOG_ERROR("otlp: cannot open export file: " + path_);
     return;
   }
-  out << doc << '\n';
+  out << render_document() << '\n';
 }
 
 }  // namespace decor::common

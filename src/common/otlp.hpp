@@ -20,9 +20,8 @@
 //
 // Sim time maps to nanoseconds-from-zero (OTLP wants absolute unix nanos;
 // a simulated world has no wall clock, and zero-based times keep the
-// export deterministic). Endpoints: a file path (the whole document is
-// rewritten on flush — idempotent), or "http://host:port/path" for a
-// best-effort blocking POST of the same document on flush.
+// export deterministic). The document goes to a file, rewritten whole on
+// every flush (idempotent); a collector's file receiver reads it.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +42,7 @@ class OtlpSink : public TelemetrySink {
   using SpanNamer =
       std::function<std::string(std::string_view kind, std::string_view detail)>;
 
-  explicit OtlpSink(const std::string& endpoint,
-                    std::string service_name = "decor-sim");
+  explicit OtlpSink(std::string path, std::string service_name = "decor-sim");
 
   void set_span_namer(SpanNamer namer) { namer_ = std::move(namer); }
 
@@ -53,7 +51,7 @@ class OtlpSink : public TelemetrySink {
            s == TelemetryStream::kTimeline;
   }
   void on_event(const TelemetryEvent& e) override;
-  /// Renders and writes/POSTs the full OTLP document.
+  /// Renders the full OTLP document and rewrites the file with it.
   void flush() override;
 
   /// Renders the current document (exposed for tests).
@@ -86,9 +84,8 @@ class OtlpSink : public TelemetrySink {
   void ingest_trace(std::string_view line);
   void ingest_metrics(std::string_view line);
   void ingest_timeline(std::string_view line);
-  void write_to_endpoint(const std::string& doc);
 
-  std::string endpoint_;
+  std::string path_;
   std::string service_name_;
   SpanNamer namer_;
   // Keyed by trace id: deterministic document order regardless of record

@@ -1,19 +1,9 @@
 #include "common/telemetry.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include <iostream>
 
 #include "common/log.hpp"
 #include "common/require.hpp"
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 namespace decor::common {
 
@@ -148,161 +138,31 @@ void JsonlFileSink::on_event(const TelemetryEvent& e) {
   out_ << e.line << '\n';
 }
 
-FrameStreamSink::FrameStreamSink(const std::string& target,
-                                 std::size_t max_buffered)
-    : max_buffered_(max_buffered) {
-  // Default subscription: everything but trace (too chatty for a live
-  // dashboard; OTLP handles trace export).
-  streams_.fill(true);
-  streams_[static_cast<std::size_t>(TelemetryStream::kTrace)] = false;
-
-  if (target == "-") {
-#ifndef _WIN32
-    fd_ = 1;  // stdout, not owned
-    own_fd_ = false;
-    ok_ = true;
-#else
-    ok_ = false;
-#endif
-    return;
-  }
-  if (target.rfind("tcp:", 0) == 0) {
-#ifndef _WIN32
-    const std::string rest = target.substr(4);
-    const auto colon = rest.rfind(':');
-    if (colon == std::string::npos) {
-      DECOR_LOG_ERROR("telemetry: bad tcp target (want tcp:HOST:PORT): " +
-                      target);
-      return;
-    }
-    const std::string host = rest.substr(0, colon);
-    const std::string port = rest.substr(colon + 1);
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    if (getaddrinfo(host.c_str(), port.c_str(), &hints, &res) != 0 || !res) {
-      DECOR_LOG_ERROR("telemetry: cannot resolve " + target);
-      return;
-    }
-    int fd = -1;
-    for (addrinfo* ai = res; ai; ai = ai->ai_next) {
-      fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-      if (fd < 0) continue;
-      if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-      ::close(fd);
-      fd = -1;
-    }
-    freeaddrinfo(res);
-    if (fd < 0) {
-      DECOR_LOG_ERROR("telemetry: cannot connect " + target);
-      return;
-    }
-    // Non-blocking from here: a stalled consumer must never stall the
-    // simulation — frames drop instead.
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    fd_ = fd;
-    own_fd_ = true;
-    nonblocking_ = true;
-    ok_ = true;
-#else
-    ok_ = false;
-#endif
-    return;
-  }
+FrameStreamSink::FrameStreamSink(const std::string& target)
+    : to_stdout_(target == "-") {
+  if (to_stdout_) return;
   file_.open(target, std::ios::out | std::ios::trunc);
-  ok_ = file_.is_open();
-  if (!ok_) DECOR_LOG_ERROR("telemetry: cannot open stream target: " + target);
-}
-
-FrameStreamSink::~FrameStreamSink() {
-  flush();
-#ifndef _WIN32
-  if (own_fd_ && fd_ >= 0) ::close(fd_);
-#endif
-}
-
-void FrameStreamSink::set_streams(
-    std::initializer_list<TelemetryStream> streams) {
-  streams_.fill(false);
-  for (TelemetryStream s : streams) {
-    streams_[static_cast<std::size_t>(s)] = true;
+  if (!file_.is_open()) {
+    DECOR_LOG_ERROR("telemetry: cannot open stream target: " + target);
   }
+}
+
+std::ostream& FrameStreamSink::stream() noexcept {
+  return to_stdout_ ? std::cout : file_;
 }
 
 void FrameStreamSink::on_event(const TelemetryEvent& e) {
-  if (!ok_) return;
-  char head[64];
-  const int n =
-      std::snprintf(head, sizeof head, "DTLM %s %llu %zu\n",
-                    telemetry_stream_name(e.stream),
-                    static_cast<unsigned long long>(e.seq), e.line.size());
-  if (n <= 0) return;
-  const std::size_t frame_len =
-      static_cast<std::size_t>(n) + e.line.size() + 1;
-  if (nonblocking_ && buffer_.size() + frame_len > max_buffered_) {
-    // Whole-frame drop: a partial frame would desync the reader.
-    ++dropped_;
-    drain_buffer();
-    return;
-  }
-  if (nonblocking_) {
-    buffer_.append(head, static_cast<std::size_t>(n));
-    buffer_.append(e.line.data(), e.line.size());
-    buffer_.push_back('\n');
-    drain_buffer();
-  } else {
-    write_bytes(head, static_cast<std::size_t>(n));
-    write_bytes(e.line.data(), e.line.size());
-    write_bytes("\n", 1);
-  }
+  std::ostream& out = stream();
+  // A stream that failed (unopened file, closed pipe) stays silent for
+  // the rest of the run.
+  if (!out) return;
+  out << "DTLM " << telemetry_stream_name(e.stream) << ' ' << e.seq << ' '
+      << e.line.size() << '\n'
+      << e.line << '\n';
+  if (to_stdout_) out.flush();
   ++frames_;
 }
 
-void FrameStreamSink::write_bytes(const char* data, std::size_t n) {
-#ifndef _WIN32
-  if (fd_ >= 0) {
-    std::size_t off = 0;
-    while (off < n) {
-      const ssize_t w = ::write(fd_, data + off, n - off);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        ok_ = false;  // broken pipe etc.: go silent for the rest of the run
-        return;
-      }
-      off += static_cast<std::size_t>(w);
-    }
-    return;
-  }
-#endif
-  file_.write(data, static_cast<std::streamsize>(n));
-}
-
-void FrameStreamSink::drain_buffer() {
-#ifndef _WIN32
-  while (!buffer_.empty()) {
-    const ssize_t w = ::write(fd_, buffer_.data(), buffer_.size());
-    if (w > 0) {
-      buffer_.erase(0, static_cast<std::size_t>(w));
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    ok_ = false;
-    buffer_.clear();
-    return;
-  }
-#endif
-}
-
-void FrameStreamSink::flush() {
-  if (!ok_) return;
-  if (nonblocking_) {
-    drain_buffer();
-    return;
-  }
-  if (fd_ < 0) file_.flush();
-}
+void FrameStreamSink::flush() { stream().flush(); }
 
 }  // namespace decor::common

@@ -11,8 +11,7 @@
 // all interested sinks. The original file sinks are now JsonlFileSink
 // instances riding the bus — their byte output is identical to the
 // pre-bus ofstreams — and the same events can simultaneously feed a live
-// length-prefixed stream for `decor watch`, an OTLP exporter, or a
-// future `decor serve` scrape endpoint.
+// length-prefixed stream for `decor watch` and an OTLP exporter.
 //
 // Contracts:
 //  - Events are serialized JSON objects without a trailing newline; the
@@ -21,9 +20,9 @@
 //    with) are remembered per stream and replayed, in publication order,
 //    to sinks that attach later — a late sink still writes a well-formed
 //    artifact.
-//  - Delivery is synchronous and in publication order; sinks that can
-//    block (sockets) must buffer internally and drop-with-count rather
-//    than stall the simulation (see FrameStreamSink).
+//  - Delivery is synchronous and in publication order; sinks write files
+//    and stdout only, so no sink may block on a peer and none drops an
+//    event.
 //  - The bus is single-threaded like the simulator that feeds it.
 #pragma once
 
@@ -193,48 +192,31 @@ class JsonlFileSink : public TelemetrySink {
 /// output) and trusts <len> for the payload, so payloads may contain
 /// anything.
 ///
-/// Targets: "-" (stdout, blocking — the watcher is expected to consume
-/// continuously), a file path (blocking), or "tcp:HOST:PORT" (connects
-/// once; the socket is non-blocking and writes go through a bounded
-/// in-memory buffer — when the peer stalls past `max_buffered` bytes,
-/// whole frames are dropped and counted rather than stalling the
-/// simulation).
+/// Targets: "-" (stdout, flushed after every frame so a piped `decor
+/// watch -` sees each one as it is published) or a file path. Every
+/// stream but trace, which is too chatty for a live dashboard, is sent.
 class FrameStreamSink : public TelemetrySink {
  public:
-  explicit FrameStreamSink(const std::string& target,
-                           std::size_t max_buffered = 4 << 20);
-  ~FrameStreamSink() override;
+  explicit FrameStreamSink(const std::string& target);
 
-  /// False when the target could not be opened/connected.
-  bool ok() const noexcept { return ok_; }
-
-  /// Restricts the sink to a stream subset (default: everything except
-  /// trace, which is too chatty for a live dashboard).
-  void set_streams(std::initializer_list<TelemetryStream> streams);
+  /// False when the target file could not be opened.
+  bool ok() const noexcept { return to_stdout_ || file_.is_open(); }
 
   bool wants(TelemetryStream s) const noexcept override {
-    return streams_[static_cast<std::size_t>(s)];
+    return s != TelemetryStream::kTrace;
   }
   void on_event(const TelemetryEvent& e) override;
   void flush() override;
 
   std::uint64_t frames_written() const noexcept { return frames_; }
-  std::uint64_t frames_dropped() const noexcept { return dropped_; }
 
  private:
-  void write_bytes(const char* data, std::size_t n);
-  void drain_buffer();
+  /// std::cout for "-", otherwise the file.
+  std::ostream& stream() noexcept;
 
-  std::array<bool, kNumTelemetryStreams> streams_{};
-  bool ok_ = false;
-  bool nonblocking_ = false;  // tcp targets: drop instead of stall
-  int fd_ = -1;               // -1 = use file stream below
-  bool own_fd_ = false;
+  bool to_stdout_;
   std::ofstream file_;
-  std::string buffer_;  // pending bytes for non-blocking targets
-  std::size_t max_buffered_;
   std::uint64_t frames_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace decor::common

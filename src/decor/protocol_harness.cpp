@@ -40,12 +40,22 @@ ProtocolHarness::ProtocolHarness(RunConfig cfg, double radio_range,
   timeline_.attach_bus(&bus_);
   audit_.attach_bus(&bus_);
   metrics_snap_.attach_bus(&bus_);
+  // Runs write files and stdout only: a network target is refused, not
+  // opened as a file of that name.
+  DECOR_REQUIRE_MSG(!cfg_.telemetry_stream.starts_with("tcp:"),
+                    "telemetry stream " + cfg_.telemetry_stream +
+                        " is a network target; write DTLM frames to a file "
+                        "(--telemetry=FILE) or pipe them from stdout: "
+                        "decor sim ... --telemetry=- | decor watch -");
+  DECOR_REQUIRE_MSG(!cfg_.otlp.starts_with("http://"),
+                    "OTLP target " + cfg_.otlp +
+                        " is a network target; write the document to a "
+                        "file (--otlp=FILE) for a collector's file receiver");
   if (!cfg_.telemetry_stream.empty()) {
     auto stream = std::make_unique<common::FrameStreamSink>(
         cfg_.telemetry_stream);
     DECOR_REQUIRE_MSG(stream->ok(), "cannot open telemetry stream: " +
                                         cfg_.telemetry_stream);
-    telemetry_sink_ = stream.get();
     bus_.add_sink(std::move(stream));
   }
   if (!cfg_.otlp.empty()) {
@@ -429,18 +439,8 @@ RunResult ProtocolHarness::run_protocol() {
     if (result.reached_full_coverage) covered.inc();
   }
   // End-of-run barrier for buffered sinks: the OTLP exporter writes its
-  // document here, the live stream drains its pending frames.
+  // document here, the file sinks flush.
   bus_.flush();
-  // Whole frames the live stream shed (TCP backpressure drops entire
-  // DTLM frames, never partial ones) — counted after the flush so the
-  // final drain is included. Delta since the last run() on this harness.
-  if (telemetry_sink_ != nullptr && common::metrics_enabled()) {
-    const std::uint64_t dropped = telemetry_sink_->frames_dropped();
-    common::metrics()
-        .counter("telemetry.dropped_frames")
-        .inc(dropped - telemetry_dropped_reported_);
-    telemetry_dropped_reported_ = dropped;
-  }
   return result;
 }
 

@@ -125,13 +125,13 @@ struct RunConfig {
   std::string metrics_jsonl;
 
   /// Live telemetry stream: length-prefixed DTLM frames of the
-  /// timeline/field/audit/metrics streams to "-" (stdout), a file path,
-  /// or "tcp:HOST:PORT" (what `decor watch` consumes).
+  /// timeline/field/audit/metrics streams to "-" (stdout) or a file path
+  /// (what `decor watch` consumes). A "tcp:" target is rejected.
   std::string telemetry_stream;
 
-  /// OTLP/JSON export endpoint: a file path (document rewritten at run
-  /// end) or "http://host:port/path" (best-effort POST). Implies trace
-  /// recording — spans are built from trace causality ids.
+  /// OTLP/JSON export file (document rewritten at run end). Implies
+  /// trace recording — spans are built from trace causality ids. An
+  /// "http://" target is rejected.
   std::string otlp;
 
   /// Serialize cumulative ARQ sent/retx counters on every timeline
@@ -261,10 +261,6 @@ class ProtocolHarness {
   /// publishes into them (producers detach their file sinks themselves;
   /// destruction order only matters for the bus-owned extra sinks).
   common::TelemetryBus bus_;
-  /// Bus-owned live stream sink, retained to surface its whole-frame
-  /// drop count (TCP backpressure) as a metrics counter after each run.
-  common::FrameStreamSink* telemetry_sink_ = nullptr;
-  std::uint64_t telemetry_dropped_reported_ = 0;
   std::unique_ptr<sim::World> world_;
   std::unique_ptr<coverage::CoverageMap> map_;
   std::shared_ptr<NodeShared> nodes_;

@@ -379,7 +379,7 @@ std::size_t watch_follow(std::FILE* in, const WatchOptions& opts,
   std::size_t written = 0;
   // Per-stream DTLM sequence tracking: data frames carry a 1-based
   // per-stream seq (headers ride seq 0), so a gap is exactly the number
-  // of whole frames a lossy transport (FrameStreamSink over TCP) shed.
+  // of whole frames missing from a damaged capture.
   std::map<std::string, unsigned long long> last_seq;
   while (read_stream_line(in, line)) {
     char stream_buf[32];

@@ -76,7 +76,7 @@ class DashboardState {
   /// Counts `n` lines a loader rejected before they reached the state.
   void note_malformed(std::size_t n) noexcept { malformed_ += n; }
 
-  /// Whole frames a lossy transport shed upstream (DTLM sequence gaps in
+  /// Whole frames missing from a damaged capture (DTLM sequence gaps in
   /// follow mode); surfaced on the status line when nonzero.
   void note_dropped(std::uint64_t n) noexcept { dropped_frames_ += n; }
   std::uint64_t dropped_frames() const noexcept { return dropped_frames_; }

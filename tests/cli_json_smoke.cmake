@@ -1,5 +1,6 @@
 # Smoke check for decor_cli --json: the run must succeed and produce a
-# non-empty decor.cli.v1 document at the requested path.
+# non-empty decor.cli.v1 document at the requested path, and --json=-
+# must put the document on stdout's last line, not in a file named "-".
 #
 # Invoked by ctest as:
 #   cmake -DBIN=<decor_cli> -DOUT=<json path> -P cli_json_smoke.cmake
@@ -27,3 +28,30 @@ foreach(needle "\"schema\":\"decor.cli.v1\"" "\"report\"" "\"metrics\"")
     message(FATAL_ERROR "${OUT} is missing ${needle}")
   endif()
 endforeach()
+
+# --json=- is stdout: run in an empty directory so a stray file shows.
+get_filename_component(stdout_dir ${OUT} DIRECTORY)
+set(stdout_dir ${stdout_dir}/cli_json_stdout)
+file(REMOVE_RECURSE ${stdout_dir})
+file(MAKE_DIRECTORY ${stdout_dir})
+execute_process(
+  COMMAND ${BIN} deploy --scheme=grid --side=30 --points=300 --initial=20
+          --k=1 --json=-
+  WORKING_DIRECTORY ${stdout_dir}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE stdout)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "decor_cli deploy --json=- failed (rc=${rc})")
+endif()
+if(EXISTS ${stdout_dir}/-)
+  message(FATAL_ERROR "decor_cli --json=- wrote a file named '-'")
+endif()
+string(STRIP "${stdout}" stdout)
+string(FIND "${stdout}" "\n" nl REVERSE)
+math(EXPR nl "${nl} + 1")
+string(SUBSTRING "${stdout}" ${nl} -1 last)
+string(JSON schema ERROR_VARIABLE err GET "${last}" schema)
+if(NOT schema STREQUAL "decor.cli.v1")
+  message(FATAL_ERROR
+          "stdout's last line is not a decor.cli.v1 report (${err}): ${last}")
+endif()

@@ -179,10 +179,8 @@ TEST(TelemetryBus, FrameStreamSinkWritesResyncableFrames) {
     bus.publish(TelemetryStream::kTrace, "{\"t\":0,\"kind\":\"tx\"}");
     bus.publish(TelemetryStream::kMetrics, "{\"t\":0,\"counters\":{}}");
     bus.flush();
-    // Trace is excluded from the default subscription (too hot for a
-    // live dashboard feed).
+    // Trace is excluded (too hot for a live dashboard feed).
     EXPECT_EQ(sink->frames_written(), 2u);
-    EXPECT_EQ(sink->frames_dropped(), 0u);
   }
   const std::string raw = read_file(path);
   EXPECT_EQ(raw,

@@ -1,7 +1,8 @@
 # Streaming-telemetry smoke: the headless dashboard must replay a
 # completed run directory into byte-identical frame dumps, and the live
-# path (`decor watch -- sim ...`) must spawn the simulator, consume its
-# DTLM stream through a pipe (CI has no tty) and land real frames.
+# path (`decor sim ... --telemetry=- | decor watch -`) must consume the
+# DTLM stream through a pipe (CI has no tty) and paint the same frames
+# as following the same run's --telemetry=FILE capture.
 #
 # Invoked by ctest as:
 #   cmake -DBIN=<decor_cli> -DOUT=<scratch dir> -P watch_smoke.cmake
@@ -49,18 +50,19 @@ foreach(needle "decor watch" "covered=" "deficit")
   endif()
 endforeach()
 
-# Live mode: spawn the sim as a child, follow its stream, stop after a
-# few frames. The child's early-pipe-close is expected and must not fail
-# the watcher.
+# Live mode: the sim's stdout (DTLM frames, then its summary lines) is
+# piped into `decor watch -`. No --frames: the sim runs to its end, so
+# both sides of the pipe must exit 0.
+set(sim_args sim --scheme=grid --side=20 --points=200 --initial=8 --k=1
+    --seed=7 --timeline=0.5 --field=1)
+set(watch_args --cols=60 --rows=16)
 execute_process(
-  COMMAND ${BIN} watch --frames=3 --cols=60 --rows=16
-          --out=${OUT}/live.txt
-          -- sim --scheme=grid --side=20 --points=200 --initial=8 --k=1
-          --seed=7
-  RESULT_VARIABLE rc
+  COMMAND ${BIN} ${sim_args} --telemetry=-
+  COMMAND ${BIN} watch - ${watch_args} --out=${OUT}/live.txt
+  RESULTS_VARIABLE rcs
   OUTPUT_QUIET)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "live decor watch -- sim failed (rc=${rc})")
+if(NOT rcs STREQUAL "0;0")
+  message(FATAL_ERROR "sim | watch - failed (exit codes ${rcs})")
 endif()
 file(READ ${OUT}/live.txt live)
 string(FIND "${live}" "decor watch" pos)
@@ -70,4 +72,28 @@ endif()
 string(FIND "${live}" "covered=" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "live watch frames carry no timeline data")
+endif()
+
+# The stdout stream carries the same frames as the file target.
+execute_process(
+  COMMAND ${BIN} ${sim_args} --telemetry=${OUT}/capture.dtlm
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "sim --telemetry=FILE failed (rc=${rc})")
+endif()
+execute_process(
+  COMMAND ${BIN} watch ${OUT}/capture.dtlm ${watch_args}
+          --out=${OUT}/capture.txt
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "decor watch of the capture failed (rc=${rc})")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT}/live.txt
+          ${OUT}/capture.txt
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "frames piped from stdout differ from the capture's")
 endif()

@@ -228,7 +228,7 @@ TEST(Watch, FollowSurfacesDroppedFramesFromSeqGaps) {
     f << dtlm("timeline", 1,
               "{\"t\":1,\"covered\":0.5,\"uncovered\":8,\"alive\":15,"
               "\"arq_in_flight\":0}");
-    // A TCP sink under backpressure drops whole frames: seq jumps 1 -> 4,
+    // A damaged capture (frames cut out of the file) skips seqs: 1 -> 4,
     // so two frames never arrived and the dashboard must say so.
     f << dtlm("timeline", 4,
               "{\"t\":4,\"covered\":0.75,\"uncovered\":4,\"alive\":15,"

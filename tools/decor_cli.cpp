@@ -11,7 +11,7 @@
 //   trace report  summarize a trace dump (JSONL or Perfetto JSON)
 //   report html   render one or more run directories as one HTML file
 //   watch         live TUI dashboard (run dir replay, DTLM capture, or
-//                 `watch -- sim ...` to spawn and follow a live run)
+//                 stdin: `sim ... --telemetry=- | decor watch -`)
 //   bench diff    compare two decor.bench.v1 documents (perf gate)
 //
 // Common flags: --k --rs --rc --side --points --initial --seed --cell
@@ -120,6 +120,11 @@ class CliReport {
     w.key("metrics");
     common::metrics().write_json(w);
     w.end_object();
+    // "-" is stdout, as for --telemetry: the report is the last line.
+    if (path == "-") {
+      std::cout << out.str() << "\n";
+      return true;
+    }
     std::ofstream f(path);
     if (!f.is_open()) {
       std::cerr << "error: cannot write " << path << "\n";
@@ -402,11 +407,10 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
   // Streaming telemetry: --metrics[=T] snapshots the metrics registry
   // every T sim-seconds as decor.metrics.v1 (--metrics-jsonl streams it
   // and, alone, rides the timeline cadence), --telemetry frames the
-  // live streams as DTLM records to "-"/path/tcp:HOST:PORT (what
-  // `decor watch` consumes), --otlp exports spans + metrics as an
-  // OTLP/JSON document (file path or http://host:port; implies
-  // --trace), --timeline-arq adds cumulative ARQ sent/retx counters to
-  // every timeline sample.
+  // live streams as DTLM records to "-" or a path (what `decor watch`
+  // consumes), --otlp exports spans + metrics as an OTLP/JSON document
+  // file (implies --trace), --timeline-arq adds cumulative ARQ
+  // sent/retx counters to every timeline sample.
   cfg.metrics_interval = opts.get_double("metrics", 0.0);
   cfg.metrics_jsonl = opts.get("metrics-jsonl", "");
   if (cfg.metrics_interval <= 0.0 && opts.has("metrics")) {
@@ -554,38 +558,21 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
   return r.reached_full_coverage ? 0 : 2;
 }
 
-/// Shell-quotes one token for the `decor watch -- sim ...` popen line.
-std::string shell_quote(const std::string& s) {
-  std::string out = "'";
-  for (const char c : s) {
-    if (c == '\'') {
-      out += "'\\''";
-    } else {
-      out += c;
-    }
-  }
-  out += "'";
-  return out;
-}
-
 /// `decor watch` — live TUI dashboard over the telemetry streams.
 ///
 ///   decor watch RUN_DIR          replay a completed run directory
 ///   decor watch CAPTURE|-        follow a DTLM capture file / stdin
-///   decor watch [opts] -- sim …  spawn the sim with --telemetry=- and
-///                                follow it live
 ///
-/// Takes argc/argv directly (not Options) because everything after the
-/// bare "--" is the child command, not watch flags.
-int cmd_watch(int argc, char** argv, CliReport& rep) {
-  int sep = argc;
-  for (int i = 2; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--") {
-      sep = i;
-      break;
-    }
+/// A live run is piped in: `decor sim ... --telemetry=- | decor watch -`.
+int cmd_watch(const common::Options& opts, CliReport& rep) {
+  // A bare "--" (`watch -- sim ...`) parses as the empty key; a live run
+  // comes in on stdin instead.
+  if (opts.has("")) {
+    std::cerr << "error: decor watch does not spawn the simulator; pipe "
+                 "a live run into it:\n  decor sim ... --timeline=0.5 "
+                 "--field=1 --telemetry=- | decor watch -\n";
+    return 1;
   }
-  const common::Options opts(sep - 1, argv + 1);
   core::WatchOptions wopts;
   wopts.cols = static_cast<std::size_t>(opts.get_int("cols", 72));
   wopts.rows = static_cast<std::size_t>(opts.get_int("rows", 20));
@@ -607,57 +594,25 @@ int cmd_watch(int argc, char** argv, CliReport& rep) {
   wopts.ansi = out_path.empty() && !opts.get_bool("plain", false) &&
                ::isatty(1) != 0;
 
+  const auto& pos = opts.positional();
+  const std::string target = pos.empty() ? std::string() : pos.front();
+  if (target.empty()) {
+    std::cerr << "usage: decor watch RUN_DIR | decor watch CAPTURE|-\n";
+    return 1;
+  }
   std::size_t frames = 0;
-  if (sep < argc) {
-    // Live mode: re-invoke this binary with the child args, a DTLM
-    // stream on stdout, and dashboard-friendly cadences unless the
-    // caller already picked them.
-    std::string cmd = shell_quote(argv[0]);
-    bool has_timeline = false;
-    bool has_field = false;
-    for (int i = sep + 1; i < argc; ++i) {
-      const std::string_view a = argv[i];
-      if (a.rfind("--timeline", 0) == 0) has_timeline = true;
-      if (a.rfind("--field", 0) == 0) has_field = true;
-      cmd += ' ';
-      cmd += shell_quote(argv[i]);
-    }
-    if (!has_timeline) cmd += " --timeline=0.5";
-    if (!has_field) cmd += " --field=1";
-    cmd += " --telemetry=-";
-    std::FILE* pipe = ::popen(cmd.c_str(), "r");
-    if (pipe == nullptr) {
-      std::cerr << "error: cannot spawn: " << cmd << "\n";
-      return 1;
-    }
-    frames = core::watch_follow(pipe, wopts, *out);
-    const int status = ::pclose(pipe);
-    // A child that ran out of sim time (exit 2) or died of EPIPE after
-    // --frames stopped the reader is not a watch failure; report it.
-    rep.add("child_status", static_cast<std::uint64_t>(
-                                status < 0 ? 0 : static_cast<unsigned>(
-                                                     status)));
+  if (target == "-") {
+    frames = core::watch_follow(stdin, wopts, *out);
+  } else if (std::filesystem::is_directory(target)) {
+    frames = core::watch_replay_dir(target, wopts, *out);
   } else {
-    const auto& pos = opts.positional();
-    const std::string target = pos.empty() ? std::string() : pos.front();
-    if (target.empty()) {
-      std::cerr << "usage: decor watch RUN_DIR | decor watch CAPTURE|- | "
-                   "decor watch [opts] -- sim ...\n";
+    std::FILE* f = std::fopen(target.c_str(), "rb");
+    if (f == nullptr) {
+      std::cerr << "error: cannot open " << target << "\n";
       return 1;
     }
-    if (target == "-") {
-      frames = core::watch_follow(stdin, wopts, *out);
-    } else if (std::filesystem::is_directory(target)) {
-      frames = core::watch_replay_dir(target, wopts, *out);
-    } else {
-      std::FILE* f = std::fopen(target.c_str(), "rb");
-      if (f == nullptr) {
-        std::cerr << "error: cannot open " << target << "\n";
-        return 1;
-      }
-      frames = core::watch_follow(f, wopts, *out);
-      std::fclose(f);
-    }
+    frames = core::watch_follow(f, wopts, *out);
+    std::fclose(f);
   }
   rep.add("watch_frames", static_cast<std::uint64_t>(frames));
   if (!out_path.empty()) {
@@ -1329,15 +1284,15 @@ void usage() {
       "                seed-vs-seed report)\n"
       "  watch         live TUI dashboard: `watch RUN_DIR` replays a\n"
       "                completed run, `watch CAPTURE|-` follows a DTLM\n"
-      "                feed, `watch [opts] -- sim ...` spawns the sim\n"
-      "                live (--cols --rows --frames=N --out=path\n"
-      "                --plain)\n"
+      "                capture or stdin; pipe a live run in with\n"
+      "                `sim ... --telemetry=- | decor watch -`\n"
+      "                (--cols --rows --frames=N --out=path --plain)\n"
       "  bench diff    compare two decor.bench.v1 docs; --fail-over=PCT\n"
       "                exits 3 when any metric moved more than PCT%\n\n"
       "common flags: --k --rs --rc --side --points --initial --seed "
       "--cell --point-kind --shards\n"
-      "telemetry: --json[=path] writes a decor.cli.v1 report (metrics "
-      "snapshot included);\n"
+      "telemetry: --json[=path] writes a decor.cli.v1 report (- for "
+      "stdout; metrics snapshot included);\n"
       "  sim also takes --trace --trace-cap=N --trace-jsonl=path\n"
       "  sim observability: --trace-perfetto=path (Perfetto export)\n"
       "                     --timeline=T --timeline-jsonl=path\n"
@@ -1346,9 +1301,8 @@ void usage() {
       "  sim streaming telemetry:\n"
       "    --metrics[=T] --metrics-jsonl=path (decor.metrics.v1\n"
       "                  registry snapshots, p50/p90/p99 summaries)\n"
-      "    --telemetry=TARGET (- | path | tcp:HOST:PORT, DTLM frames)\n"
-      "    --otlp=ENDPOINT (file or http://host:port, OTLP/JSON export;\n"
-      "                     implies --trace)\n"
+      "    --telemetry=TARGET (- for stdout, or a path; DTLM frames)\n"
+      "    --otlp=FILE (OTLP/JSON export; implies --trace)\n"
       "    --timeline-arq (ARQ sent/retx on each timeline sample)\n"
       "  sim chaos knobs: --loss=P --burst=B (B>1 = bursty channel)\n"
       "                   --kill-leader-at=T (grid scheme only)\n"
@@ -1389,7 +1343,7 @@ int main(int argc, char** argv) {
     if (cmd == "deploy") rc = cmd_deploy(opts, rep);
     if (cmd == "restore") rc = cmd_restore(opts, rep);
     if (cmd == "sim") rc = cmd_sim(opts, rep);
-    if (cmd == "watch") rc = cmd_watch(argc, argv, rep);
+    if (cmd == "watch") rc = cmd_watch(opts, rep);
     if (cmd == "discrepancy") rc = cmd_discrepancy(opts, rep);
     if (cmd == "connectivity") rc = cmd_connectivity(opts, rep);
     if (cmd == "lifetime") rc = cmd_lifetime(opts, rep);
