@@ -116,8 +116,7 @@ inline void print_header(const std::string& figure,
 inline std::string json_path(const common::Options& opts,
                              const std::string& figure) {
   if (!opts.has("json")) return {};
-  const std::string p = opts.get("json", "");
-  return p.empty() ? figure + ".json" : p;
+  return opts.get_path("json", figure + ".json");
 }
 
 /// A SeriesTable to embed in the JSON report under `name`.

@@ -11,12 +11,22 @@
 namespace decor::common {
 
 std::string format_double(double v) {
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0.0 ? "inf" : "-inf";
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  DECOR_ASSERT(res.ec == std::errc{});
-  return std::string(buf, res.ptr);
+  std::string out;
+  append_double(out, v);
+  return out;
+}
+
+void append_double(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "nan";
+  } else if (std::isinf(v)) {
+    out += v > 0.0 ? "inf" : "-inf";
+  } else {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    DECOR_ASSERT(res.ec == std::errc{});
+    out.append(buf, res.ptr);
+  }
 }
 
 std::string json_escape(std::string_view s) {

@@ -25,6 +25,8 @@ namespace decor::common {
 /// (std::to_chars). NaN renders as "nan" and infinities as "inf"/"-inf";
 /// JSON callers must map those to null (JsonWriter::value does).
 std::string format_double(double v);
+/// format_double(v) appended to `out`, without a temporary string.
+void append_double(std::string& out, double v);
 
 /// `s` with JSON string escapes applied (quotes, backslash, control
 /// characters as \u00XX), without surrounding quotes.

@@ -11,15 +11,18 @@ Options::Options(int argc, const char* const* argv) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
+      const std::string key = arg.substr(2, eq - 2);
+      bare_.erase(key);
       if (eq != std::string::npos) {
-        kv_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        kv_[key] = arg.substr(eq + 1);
       } else if (i + 1 < argc &&
                  std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
         // "--key value" form: the next token is the value unless it is
         // itself a flag (negative numbers bind as values, as expected).
-        kv_[arg.substr(2)] = argv[++i];
+        kv_[key] = argv[++i];
       } else {
-        kv_[arg.substr(2)] = "true";
+        kv_[key] = "true";
+        bare_.insert(key);
       }
     } else {
       positional_.push_back(std::move(arg));
@@ -32,6 +35,13 @@ bool Options::has(const std::string& key) const { return kv_.count(key) > 0; }
 std::string Options::get(const std::string& key, const std::string& def) const {
   auto it = kv_.find(key);
   return it == kv_.end() ? def : it->second;
+}
+
+std::string Options::get_path(const std::string& key,
+                              const std::string& def) const {
+  if (bare_.count(key) > 0) return def;
+  const std::string v = get(key, "");
+  return v.empty() ? def : v;
 }
 
 std::int64_t Options::get_int(const std::string& key, std::int64_t def) const {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,10 @@ class Options {
   bool has(const std::string& key) const;
 
   std::string get(const std::string& key, const std::string& def) const;
+  /// For an option that names an output and has a default: its value,
+  /// or `def` when it is absent, empty (--key=) or bare (--key, which
+  /// get() reads as "true" and would otherwise name a file "true").
+  std::string get_path(const std::string& key, const std::string& def) const;
   std::int64_t get_int(const std::string& key, std::int64_t def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
@@ -32,6 +37,8 @@ class Options {
 
  private:
   std::map<std::string, std::string> kv_;
+  /// Keys whose last occurrence was a bare --flag.
+  std::set<std::string> bare_;
   std::vector<std::string> positional_;
 };
 

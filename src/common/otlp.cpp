@@ -70,7 +70,11 @@ void OtlpSink::on_event(const TelemetryEvent& e) {
   if (e.header) return;  // schema headers carry no data
   switch (e.stream) {
     case TelemetryStream::kTrace:
-      ingest_trace(e.line);
+      if (e.trace != nullptr) {
+        ingest_trace(*e.trace);
+      } else {
+        ingest_trace_line(e.line);
+      }
       break;
     case TelemetryStream::kMetrics:
       ingest_metrics(e.line);
@@ -83,36 +87,45 @@ void OtlpSink::on_event(const TelemetryEvent& e) {
   }
 }
 
-void OtlpSink::ingest_trace(std::string_view line) {
+void OtlpSink::ingest_trace_line(std::string_view line) {
   const auto doc = parse_json(line);
   if (!doc) return;
-  const auto id = doc->number_at<std::uint64_t>("trace");
+  TraceFields r;
+  r.t = doc->number_at("t");
+  r.node = doc->number_at<std::int64_t>("node", -1);
+  r.trace_id = doc->number_at<std::uint64_t>("trace");
+  r.kind = doc->string_at("kind");
+  r.detail = doc->string_at("detail");
+  ingest_trace(r);
+}
+
+void OtlpSink::ingest_trace(const TraceFields& r) {
+  const std::uint64_t id = r.trace_id;
   if (id == 0) return;  // untraced record
-  const double t = doc->number_at("t");
-  const auto node = doc->number_at<std::int64_t>("node", -1);
-  const std::string& kind = doc->string_at("kind");
   auto it = spans_.find(id);
   if (it == spans_.end()) {
     if (spans_.size() >= kMaxSpans) {
-      ++spans_dropped_;
+      const auto at =
+          std::lower_bound(dropped_ids_.begin(), dropped_ids_.end(), id);
+      if (at == dropped_ids_.end() || *at != id) dropped_ids_.insert(at, id);
       return;
     }
     Span s;
     s.trace_id = id;
-    s.start_t = s.end_t = t;
-    s.origin_node = node;
-    if (namer_) s.name = namer_(kind, doc->string_at("detail"));
-    if (s.name.empty()) s.name = kind.empty() ? "trace" : kind;
+    s.start_t = s.end_t = r.t;
+    s.origin_node = r.node;
+    if (namer_) s.name = namer_(r.kind, r.detail);
+    if (s.name.empty()) s.name = r.kind.empty() ? "trace" : std::string(r.kind);
     it = spans_.emplace(id, std::move(s)).first;
   }
   Span& s = it->second;
   ++s.records;
-  s.start_t = std::min(s.start_t, t);
-  s.end_t = std::max(s.end_t, t);
+  s.start_t = std::min(s.start_t, r.t);
+  s.end_t = std::max(s.end_t, r.t);
   // Receivers' acks carry the id of the frame they answer and flood
   // forwards keep the flood's id, so only the origin's transmissions
   // count: the first is the send, every later one replays its frame.
-  if (kind == "tx" && node >= 0 && node == s.origin_node) ++s.origin_tx;
+  if (r.kind == "tx" && r.node >= 0 && r.node == s.origin_node) ++s.origin_tx;
 }
 
 void OtlpSink::ingest_metrics(std::string_view line) {
@@ -292,9 +305,9 @@ std::string OtlpSink::render_document() const {
     w.end_object();
   }
   w.end_array();
-  if (spans_dropped_ > 0) {
+  if (!dropped_ids_.empty()) {
     w.key("droppedSpans");
-    w.value(spans_dropped_);
+    w.value(spans_dropped());
   }
   w.end_object();
   return os.str();

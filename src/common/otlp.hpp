@@ -10,7 +10,8 @@
 //    and retransmit count (the origin's tx records beyond the first) as
 //    attributes, and the name derived from the first record's detail via
 //    a caller-supplied namer (common cannot depend on net's message
-//    vocabulary).
+//    vocabulary). Records are folded from the event's TraceFields; a
+//    line published without them is decoded into the same fields first.
 //  - metrics: decor.metrics.v1 snapshots become resourceMetrics —
 //    counters as monotonic sums, gauges as gauges, histogram quantile
 //    summaries as <name>.p50/.p90/.p99 gauges.
@@ -58,7 +59,9 @@ class OtlpSink : public TelemetrySink {
   std::string render_document() const;
 
   std::uint64_t spans() const noexcept { return spans_.size(); }
-  std::uint64_t spans_dropped() const noexcept { return spans_dropped_; }
+  /// Distinct causality ids turned away because kMaxSpans spans already
+  /// existed (each counted once, however many records it has).
+  std::uint64_t spans_dropped() const noexcept { return dropped_ids_.size(); }
 
  private:
   struct Span {
@@ -81,7 +84,9 @@ class OtlpSink : public TelemetrySink {
     std::uint64_t value = 0;
   };
 
-  void ingest_trace(std::string_view line);
+  void ingest_trace(const TraceFields& r);
+  /// Decodes a trace line published without fields, then ingest_trace.
+  void ingest_trace_line(std::string_view line);
   void ingest_metrics(std::string_view line);
   void ingest_timeline(std::string_view line);
 
@@ -93,7 +98,8 @@ class OtlpSink : public TelemetrySink {
   std::map<std::uint64_t, Span> spans_;
   std::map<std::string, std::vector<SumPoint>> sums_;
   std::map<std::string, std::vector<GaugePoint>> gauges_;
-  std::uint64_t spans_dropped_ = 0;
+  /// Ascending; ids are minted in order, so this mostly appends.
+  std::vector<std::uint64_t> dropped_ids_;
   static constexpr std::size_t kMaxSpans = 50000;
   static constexpr std::size_t kMaxPoints = 100000;
 };

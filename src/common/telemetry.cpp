@@ -55,10 +55,11 @@ std::unique_ptr<TelemetrySink> TelemetryBus::remove_sink(SinkId id) {
 }
 
 void TelemetryBus::publish(TelemetryStream s, std::string_view line,
-                           bool header) {
+                           bool header, const TraceFields* trace) {
   TelemetryEvent e;
   e.stream = s;
   e.header = header;
+  e.trace = trace;
   if (header) {
     e.seq = 0;
     headers_.emplace_back(s, std::string(line));
@@ -126,9 +127,10 @@ void TelemetryChannel::close_jsonl() {
   file_sink_ = 0;
 }
 
-void TelemetryChannel::publish(std::string_view line) {
+void TelemetryChannel::publish(std::string_view line,
+                               const TraceFields* trace) {
   publish_header();
-  bus_->publish(stream_, line);
+  bus_->publish(stream_, line, false, trace);
 }
 
 JsonlFileSink::JsonlFileSink(const std::string& path, TelemetryStream stream)

@@ -15,7 +15,9 @@
 //
 // Contracts:
 //  - Events are serialized JSON objects without a trailing newline; the
-//    producer serializes once, the bus never re-renders.
+//    producer serializes once, the bus never re-renders. A trace event
+//    also carries its record's fields (TraceFields), so a sink that
+//    folds records reads them directly instead of re-parsing the line.
 //  - Header lines (the decor.*.v1 schema line a JSONL artifact starts
 //    with) are remembered per stream and replayed, in publication order,
 //    to sinks that attach later — a late sink still writes a well-formed
@@ -52,6 +54,18 @@ inline constexpr std::size_t kNumTelemetryStreams = 5;
 /// framed live stream and anything else that labels events on the wire.
 const char* telemetry_stream_name(TelemetryStream s) noexcept;
 
+/// The fields of one trace record, as its JSONL line holds them. The
+/// views are only valid for the duration of the on_event call.
+struct TraceFields {
+  double t = 0.0;
+  /// -1 when the record names no node.
+  std::int64_t node = -1;
+  /// Causality id (0 = none).
+  std::uint64_t trace_id = 0;
+  std::string_view kind;
+  std::string_view detail;
+};
+
 struct TelemetryEvent {
   TelemetryStream stream = TelemetryStream::kTimeline;
   /// Per-stream 1-based publication number; header lines carry 0.
@@ -61,6 +75,9 @@ struct TelemetryEvent {
   /// Serialized JSON object, no trailing newline. Only valid for the
   /// duration of the on_event call.
   std::string_view line;
+  /// The record behind `line` on the trace stream, when the publisher
+  /// had one (sim::Trace does); null otherwise. Same lifetime as `line`.
+  const TraceFields* trace = nullptr;
 };
 
 class TelemetrySink {
@@ -90,9 +107,11 @@ class TelemetryBus {
   /// is flushed first.
   std::unique_ptr<TelemetrySink> remove_sink(SinkId id);
 
-  /// Publishes one serialized line to every interested sink. Header
-  /// lines are additionally remembered for late-sink replay.
-  void publish(TelemetryStream s, std::string_view line, bool header = false);
+  /// Publishes one serialized line to every interested sink, with the
+  /// trace record's fields when `trace` is non-null. Header lines are
+  /// additionally remembered for late-sink replay.
+  void publish(TelemetryStream s, std::string_view line, bool header = false,
+               const TraceFields* trace = nullptr);
 
   /// True when at least one attached sink wants `s` — producers use this
   /// to skip serialization entirely on silent streams.
@@ -143,8 +162,9 @@ class TelemetryChannel {
   bool wanted() const noexcept {
     return bus_ != nullptr && bus_->has_sink_for(stream_);
   }
-  /// Publishes one event line, preceded by the header if still unsent.
-  void publish(std::string_view line);
+  /// Publishes one event line (and a trace record's fields, if any),
+  /// preceded by the header if still unsent.
+  void publish(std::string_view line, const TraceFields* trace = nullptr);
 
   const std::string& header() const noexcept { return header_; }
 

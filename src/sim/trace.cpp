@@ -38,20 +38,46 @@ void Trace::set_capacity(std::size_t cap) {
   total_ = 0;
 }
 
-std::string trace_record_json(const TraceRecord& r) {
-  std::string out = "{\"seq\":";
-  out += std::to_string(r.seq);
+namespace {
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+/// True when json_escape would change `s`.
+bool needs_escape(std::string_view s) noexcept {
+  return std::any_of(s.begin(), s.end(), [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
+}
+
+}  // namespace
+
+void append_trace_record_json(const TraceRecord& r, std::string& out) {
+  out += "{\"seq\":";
+  append_uint(out, r.seq);
   out += ",\"t\":";
-  out += common::format_double(r.at);
+  common::append_double(out, r.at);
   out += ",\"kind\":\"";
   out += trace_kind_name(r.kind);
   out += "\",\"node\":";
-  out += std::to_string(r.node);
+  append_uint(out, r.node);
   out += ",\"trace\":";
-  out += std::to_string(r.trace_id);
+  append_uint(out, r.trace_id);
   out += ",\"detail\":\"";
-  out += common::json_escape(r.detail);
+  if (needs_escape(r.detail)) {
+    out += common::json_escape(r.detail);
+  } else {
+    out += r.detail;
+  }
   out += "\"}";
+}
+
+std::string trace_record_json(const TraceRecord& r) {
+  std::string out;
+  append_trace_record_json(r, out);
   return out;
 }
 
@@ -130,19 +156,20 @@ TraceLeg ExchangeTracker::add(const TraceRecord& r) {
 void Trace::record(Time at, TraceKind kind, std::uint32_t node,
                    std::string detail, std::uint64_t trace_id) {
   if (!enabled_) return;
-  const std::uint64_t seq = ++total_;
+  TraceRecord r{at, kind, node, std::move(detail), trace_id, ++total_};
   if (channel_.wanted()) {
-    channel_.publish(trace_record_json(
-        TraceRecord{at, kind, node, detail, trace_id, seq}));
+    line_.clear();
+    append_trace_record_json(r, line_);
+    const common::TraceFields fields{r.at, r.node, r.trace_id,
+                                     trace_kind_name(r.kind), r.detail};
+    channel_.publish(line_, &fields);
   }
   if (capacity_ == 0 || records_.size() < capacity_) {
-    records_.push_back(
-        TraceRecord{at, kind, node, std::move(detail), trace_id, seq});
+    records_.push_back(std::move(r));
     return;
   }
   // Ring mode, buffer full: overwrite the oldest record in place.
-  records_[head_] =
-      TraceRecord{at, kind, node, std::move(detail), trace_id, seq};
+  records_[head_] = std::move(r);
   head_ = (head_ + 1) % capacity_;
 }
 

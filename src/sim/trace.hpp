@@ -44,8 +44,11 @@ const char* trace_kind_name(TraceKind kind) noexcept;
 
 struct TraceRecord;
 
-/// Serializes one record as a trace JSONL line (no trailing newline);
-/// shared by the live sink and the flight recorder.
+/// Appends one record to `out` as a trace JSONL line (no trailing
+/// newline); the one serializer of records, behind the live sink
+/// (Trace::record) and the flight recorder (trace_record_json).
+void append_trace_record_json(const TraceRecord& r, std::string& out);
+/// append_trace_record_json into a fresh string.
 std::string trace_record_json(const TraceRecord& r);
 
 struct TraceRecord {
@@ -158,7 +161,8 @@ class Trace {
   /// in-memory tracing stays cheap. open_jsonl streams every later record
   /// as one JSON line
   /// ({"seq":1,"t":...,"kind":"tx","node":3,"trace":7,"detail":"..."});
-  /// the stream has no schema header. The file sees records regardless of
+  /// the stream has no schema header. Each event also carries the
+  /// record's common::TraceFields. The file sees records regardless of
   /// the ring capacity, but only while recording is enabled.
   void attach_bus(common::TelemetryBus* bus) { channel_.attach_bus(bus); }
   bool open_jsonl(const std::string& path) {
@@ -192,6 +196,9 @@ class Trace {
   std::size_t head_ = 0;  // ring mode: next slot to overwrite once full
   std::uint64_t total_ = 0;
   std::vector<TraceRecord> records_;
+  /// The line being published, reused so a warm record() allocates
+  /// nothing for it.
+  std::string line_;
   common::TelemetryChannel channel_{common::TelemetryStream::kTrace, ""};
 };
 

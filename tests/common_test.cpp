@@ -37,6 +37,20 @@ TEST(Options, BareFlagIsTrue) {
   EXPECT_TRUE(o.has("verbose"));
 }
 
+TEST(Options, PathFallsBackForBareAndEmpty) {
+  const auto o = parse({"--json", "--out=", "--trace=t.jsonl", "--x=true"});
+  EXPECT_EQ(o.get_path("json", "run.json"), "run.json");
+  EXPECT_EQ(o.get_path("out", "out.json"), "out.json");
+  EXPECT_EQ(o.get_path("absent", "a.json"), "a.json");
+  EXPECT_EQ(o.get_path("trace", "d.jsonl"), "t.jsonl");
+  // Only a bare flag falls back; an explicit value is a path.
+  EXPECT_EQ(o.get_path("x", "d"), "true");
+  // The last occurrence decides.
+  EXPECT_EQ(parse({"--json", "--json=a.json"}).get_path("json", "d"),
+            "a.json");
+  EXPECT_EQ(parse({"--json=a.json", "--json"}).get_path("json", "d"), "d");
+}
+
 TEST(Options, BoolSpellings) {
   const auto o = parse({"--a=true", "--b=1", "--c=yes", "--d=false"});
   EXPECT_TRUE(o.get_bool("a", false));

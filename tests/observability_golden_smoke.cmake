@@ -7,6 +7,9 @@
 #      --trace-perfetto, --telemetry and --otlp armed: the Perfetto
 #      export, the DTLM stream, the OTLP document, and `decor trace
 #      report` on the trace JSONL and on the Perfetto file.
+#   3. On the CI telemetry job's lossy grid run (trace JSONL, timeline,
+#      metrics snapshots): the OTLP document, whose spans cover six
+#      message kinds and ARQ retransmissions.
 # A trace report's first line names its input path, so it is dropped
 # before the comparison.
 #
@@ -86,3 +89,15 @@ run_cli(voronoi.trace_report.perfetto.txt trace report
         ${OUT}/voronoi.perfetto.json)
 check_same(voronoi.trace_report.jsonl.txt)
 check_same(voronoi.trace_report.perfetto.txt)
+
+# --- OTLP export of the lossy grid run ------------------------------------
+execute_process(
+  COMMAND ${BIN} sim --scheme=grid --side=20 --points=200 --initial=8 --k=1
+          --loss=0.3 --seed=7 --trace-jsonl=${OUT}/grid.trace.jsonl
+          --timeline=1 --metrics=1 --otlp=${OUT}/grid.otlp.json
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "decor sim (grid) failed (rc=${rc})")
+endif()
+check_same(grid.otlp.json)

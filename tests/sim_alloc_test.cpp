@@ -5,7 +5,9 @@
 // radio's in-flight slab have grown, a broadcast and its receptions must
 // not allocate at all (the broadcast walks the spatial index in place,
 // with no receiver list), and neither must scheduling a captureless
-// timer.
+// timer. With a ring-bounded trace streaming to a sink, the records of
+// a warm broadcast must not allocate either: each line is serialized
+// into one reused buffer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,9 +15,11 @@
 #include <memory>
 #include <new>
 
+#include "common/telemetry.hpp"
 #include "sim/message.hpp"
 #include "sim/node.hpp"
 #include "sim/radio.hpp"
+#include "sim/trace.hpp"
 #include "sim/world.hpp"
 
 namespace {
@@ -46,16 +50,41 @@ class Inert final : public NodeProcess {
   using NodeProcess::broadcast;
 };
 
+/// Wants the trace stream only and counts what it is handed.
+class TraceCounter final : public common::TelemetrySink {
+ public:
+  bool wants(common::TelemetryStream s) const noexcept override {
+    return s == common::TelemetryStream::kTrace;
+  }
+  void on_event(const common::TelemetryEvent& e) override {
+    ++events;
+    if (e.trace != nullptr) ++typed;
+  }
+  std::uint64_t events = 0;
+  std::uint64_t typed = 0;
+};
+
 constexpr int kReceivers = 49;
 
 /// Blocks allocated by one broadcast to kReceivers nodes plus the run
 /// that delivers it, measured after an identical warm-up broadcast.
-std::uint64_t broadcast_allocations(double bitrate_bps) {
+/// `traced` records into a ring-bounded trace on a bus whose only sink
+/// wants the trace stream.
+std::uint64_t broadcast_allocations(double bitrate_bps, bool traced = false) {
   RadioParams params;
   params.latency_base = 1e-3;
   params.jitter = 1e-4;
   params.bitrate_bps = bitrate_bps;
+  common::TelemetryBus bus;
+  auto counter_owned = std::make_unique<TraceCounter>();
+  const TraceCounter* counter = counter_owned.get();
+  bus.add_sink(std::move(counter_owned));
   World world(geom::make_rect(0, 0, 100, 100), params, 3);
+  if (traced) {
+    world.trace().attach_bus(&bus);
+    world.trace().set_capacity(64);
+    world.trace().enable(true);
+  }
   // A 7x7 block of receivers around a sender that sits off the lattice;
   // every receiver is within 5 units of it.
   for (int i = 0; i < kReceivers; ++i) {
@@ -73,12 +102,17 @@ std::uint64_t broadcast_allocations(double bitrate_bps) {
   world.sim().run();
 
   const std::uint64_t rx0 = world.radio().total_rx();
+  const std::uint64_t events0 = counter->events;
   const std::uint64_t before = g_allocations;
   node.broadcast(msg, 8.0);
   world.sim().run();
   const std::uint64_t allocated = g_allocations - before;
   EXPECT_EQ(world.radio().total_rx() - rx0,
             static_cast<std::uint64_t>(kReceivers));
+  // One tx record and one rx record per receiver, each with its fields.
+  const std::uint64_t records = traced ? 1 + kReceivers : 0;
+  EXPECT_EQ(counter->events - events0, records);
+  EXPECT_EQ(counter->typed, counter->events);
   return allocated;
 }
 
@@ -88,6 +122,10 @@ TEST(SimAllocations, WarmBroadcastAllocatesNothing) {
 
 TEST(SimAllocations, WarmCollisionModelBroadcastAllocatesNothing) {
   EXPECT_EQ(broadcast_allocations(250000.0), 0u);
+}
+
+TEST(SimAllocations, WarmTracedBroadcastAllocatesNothing) {
+  EXPECT_EQ(broadcast_allocations(0.0, /*traced=*/true), 0u);
 }
 
 TEST(SimAllocations, CapturelessTimersOnAWarmQueueAllocateNothing) {

@@ -384,6 +384,86 @@ TEST(OtlpSink, RetransmitsMatchArqStatsOnLossyRuns) {
   }
 }
 
+// The harness hands the exporter typed TraceFields; a line published
+// without them is decoded into the same fields. Replaying a lossy run's
+// captured lines (no fields) through a fresh sink must rebuild the
+// harness's document byte for byte, on both runners.
+TEST(OtlpSink, TypedFoldMatchesLineReplay) {
+  decor::common::metrics().reset();
+  decor::common::metrics().enable(true);
+  for (const bool voronoi : {false, true}) {
+    decor::core::RunConfig cfg;
+    cfg.params.field = decor::geom::make_rect(0, 0, 20, 20);
+    cfg.params.num_points = 200;
+    cfg.params.k = 1;
+    cfg.seed = 7;
+    decor::common::Rng rng(cfg.seed);
+    cfg.initial_positions =
+        decor::lds::random_points(cfg.params.field, 8, rng);
+    cfg.radio.loss_prob = 0.3;
+    cfg.timeline_interval = 1.0;
+    cfg.metrics_interval = 1.0;
+    const fs::path out = temp_path(
+        std::string("decor_otlp_typed_") + (voronoi ? "voronoi" : "grid") +
+        ".json");
+    cfg.otlp = out.string();
+    // The harness owns its sinks: take the capture before it dies.
+    std::vector<CaptureSink::Seen> events;
+    const auto run = [&events](auto&& h) {
+      auto owned = std::make_unique<CaptureSink>();
+      CaptureSink* capture = owned.get();
+      h.telemetry().add_sink(std::move(owned));
+      h.run();
+      events = std::move(capture->events);
+    };
+    if (voronoi) {
+      run(decor::core::VoronoiSimHarness(decor::core::VoronoiSimConfig{cfg}));
+    } else {
+      run(decor::core::GridSimHarness(decor::core::SimRunConfig{cfg}));
+    }
+    const std::string label = voronoi ? "voronoi" : "grid";
+
+    decor::common::OtlpSink replay("unused.json");
+    replay.set_span_namer(decor::core::otlp_span_name);
+    std::size_t trace_lines = 0;
+    for (const auto& e : events) {
+      if (e.stream == TelemetryStream::kTrace) ++trace_lines;
+      replay.on_event({e.stream, e.seq, e.header, e.line});
+    }
+    EXPECT_GT(trace_lines, 0u) << label;
+    EXPECT_GT(replay.spans(), 0u) << label;
+    const std::string want = read_file(out);
+    const std::string got = replay.render_document() + "\n";
+    const auto diff =
+        std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    EXPECT_TRUE(got == want)
+        << label << ": the replayed document (" << got.size()
+        << " bytes) differs from the harness's (" << want.size()
+        << " bytes) from byte " << (diff.first - got.begin());
+    fs::remove(out);
+  }
+  decor::common::metrics().enable(false);
+}
+
+// Past kMaxSpans every further causality id is dropped once, however
+// many records it carries and however they interleave.
+TEST(OtlpSink, DroppedSpansCountIdsNotRecords) {
+  constexpr std::uint64_t kMaxSpans = 50000;
+  constexpr std::uint64_t kExtra = 3;
+  decor::common::OtlpSink sink("unused.json");
+  for (const char* kind : {"tx", "rx"}) {
+    for (std::uint64_t id = 1; id <= kMaxSpans + kExtra; ++id) {
+      const decor::common::TraceFields r{0.5, 1, id, kind, "kind=1"};
+      sink.on_event({TelemetryStream::kTrace, 0, false, "", &r});
+    }
+  }
+  EXPECT_EQ(sink.spans(), kMaxSpans);
+  EXPECT_EQ(sink.spans_dropped(), kExtra);
+  const auto doc = decor::common::parse_json(sink.render_document());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->number_at<std::uint64_t>("droppedSpans"), kExtra);
+}
+
 TEST(OtlpSink, MetricsLinesBecomeSumsAndGauges) {
   decor::common::OtlpSink sink("unused.json");
   sink.on_event({TelemetryStream::kMetrics, 1, false,

@@ -1361,9 +1361,7 @@ int main(int argc, char** argv) {
     return cmd == "--help" || cmd == "help" ? 0 : 1;
   }
   if (want_json) {
-    std::string path = opts.get("json", "");
-    if (path.empty()) path = "decor-" + cmd + ".json";
-    rep.write(path, cmd);
+    rep.write(opts.get_path("json", "decor-" + cmd + ".json"), cmd);
   }
   return rc;
 }
