@@ -39,7 +39,13 @@ std::string Options::get(const std::string& key, const std::string& def) const {
 
 std::string Options::get_path(const std::string& key,
                               const std::string& def) const {
-  if (bare_.count(key) > 0) return def;
+  if (bare_.count(key) > 0) {
+    if (def.empty()) {
+      throw std::invalid_argument("--" + key + " needs a path: --" + key +
+                                  "=PATH");
+    }
+    return def;
+  }
   const std::string v = get(key, "");
   return v.empty() ? def : v;
 }

@@ -23,9 +23,11 @@ class Options {
   bool has(const std::string& key) const;
 
   std::string get(const std::string& key, const std::string& def) const;
-  /// For an option that names an output and has a default: its value,
-  /// or `def` when it is absent, empty (--key=) or bare (--key, which
-  /// get() reads as "true" and would otherwise name a file "true").
+  /// For an option that names a file or directory: its value, or `def`
+  /// when it is absent, empty (--key=) or bare (--key, which get() reads
+  /// as "true" and would otherwise name a file "true"). A bare flag with
+  /// no default (`def` empty) names nothing, so it throws
+  /// std::invalid_argument naming the --key=PATH form.
   std::string get_path(const std::string& key, const std::string& def) const;
   std::int64_t get_int(const std::string& key, std::int64_t def) const;
   double get_double(const std::string& key, double def) const;

@@ -1,5 +1,5 @@
 // Minimal data-parallel helper for the benchmark harnesses and the
-// coverage::BenefitIndex cold-start rebuild and sharded batch sweeps.
+// coverage::BenefitIndex cold-start rebuild.
 //
 // Experiment sweeps are embarrassingly parallel over (configuration,
 // trial) jobs: every job owns an independent seeded RNG and field, so
@@ -12,12 +12,11 @@
 // slot-free accumulation.
 //
 // Workers come from one process-wide lazily-grown pool instead of being
-// spawned per call: the sharded BenefitIndex issues a parallel sweep per
-// placement *batch*, whose work (a few hundred microseconds) would
-// otherwise be dwarfed by thread creation. Nested parallel_for calls from
-// inside a running job execute inline on the calling worker — the pool
-// never deadlocks waiting on itself — and concurrent calls from unrelated
-// threads fall back to inline execution rather than queueing.
+// spawned per call, so a short sweep is not dwarfed by thread creation.
+// Nested parallel_for calls from inside a running job execute inline on
+// the calling worker — the pool never deadlocks waiting on itself — and
+// concurrent calls from unrelated threads fall back to inline execution
+// rather than queueing.
 #pragma once
 
 #include <cstddef>

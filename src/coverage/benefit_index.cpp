@@ -12,8 +12,7 @@ namespace decor::coverage {
 namespace {
 
 // Disc events (2*rs delta sweeps), entries skipped as stale/covered in
-// best(), full cold-start rebuilds, and batched shard sweeps — the
-// index's cost drivers.
+// best(), and full cold-start rebuilds — where the index spends its time.
 common::Counter& delta_sweep_counter() {
   static common::Counter& c =
       common::metrics().counter("benefit.delta_sweeps");
@@ -25,10 +24,6 @@ common::Counter& stale_pop_counter() {
 }
 common::Counter& rebuild_counter() {
   static common::Counter& c = common::metrics().counter("benefit.rebuilds");
-  return c;
-}
-common::Counter& batch_counter() {
-  static common::Counter& c = common::metrics().counter("benefit.batches");
   return c;
 }
 common::Histogram& rebuild_hist() {
@@ -46,11 +41,10 @@ common::Histogram& delta_sweep_hist() {
 
 BenefitIndex::BenefitIndex(const CoverageMap& map, std::uint32_t k,
                            std::vector<std::int64_t> owners,
-                           std::size_t threads, ShardSpec spec)
+                           std::size_t threads)
     : index_(map.index_ptr()),
       rs_(map.rs()),
       k_(k),
-      threads_(threads),
       counts_(map.counts()),
       owner_(std::move(owners)),
       benefit_(index_->size(), 0),
@@ -60,18 +54,16 @@ BenefitIndex::BenefitIndex(const CoverageMap& map, std::uint32_t k,
   DECOR_REQUIRE_MSG(owner_.size() == index_->size(),
                     "owner labels must cover every point");
   init_buckets();
-  init_shards(spec);
   rebuild(threads);
 }
 
 BenefitIndex::BenefitIndex(std::shared_ptr<const geom::PointGridIndex> index,
                            double rs, std::uint32_t k,
                            std::vector<std::int64_t> owners,
-                           std::size_t threads, ShardSpec spec)
+                           std::size_t threads)
     : index_(std::move(index)),
       rs_(rs),
       k_(k),
-      threads_(threads),
       counts_(index_->size(), 0),
       owner_(std::move(owners)),
       benefit_(index_->size(), 0),
@@ -82,7 +74,6 @@ BenefitIndex::BenefitIndex(std::shared_ptr<const geom::PointGridIndex> index,
   DECOR_REQUIRE_MSG(owner_.size() == index_->size(),
                     "owner labels must cover every point");
   init_buckets();
-  init_shards(spec);
   rebuild(threads);
 }
 
@@ -95,23 +86,6 @@ void BenefitIndex::init_buckets() {
       bucket(owner_[p]).push_back(static_cast<std::uint32_t>(p));
     }
   }
-}
-
-void BenefitIndex::init_shards(ShardSpec spec) {
-  shards_ = ShardGrid(index_->bounds(), spec.resolve());
-  const std::size_t nshards = shards_.count();
-  shard_of_point_.resize(index_->size());
-  shard_points_.assign(nshards, {});
-  for (std::size_t p = 0; p < index_->size(); ++p) {
-    const std::size_t s = shards_.shard_of(index_->point(p));
-    shard_of_point_[p] = static_cast<std::uint32_t>(s);
-    shard_points_[s].push_back(static_cast<std::uint32_t>(p));
-  }
-  heaps_.resize(nshards);
-  batch_changed_.resize(nshards);
-  batch_touched_.resize(nshards);
-  count_epoch_.assign(index_->size(), 0);
-  accepted_epoch_.assign(index_->size(), 0);
 }
 
 std::vector<std::uint32_t>& BenefitIndex::bucket(std::int64_t own) {
@@ -169,21 +143,14 @@ void BenefitIndex::rebuild(std::size_t threads) {
   common::parallel_for(
       benefit_.size(),
       [this](std::size_t p) { benefit_[p] = recompute_one(p); }, threads);
-  // Deterministic merge: each shard's heap is seeded from its own
-  // ascending point-id list (one shard == the historical single-heap
-  // layout). Shards only write their own heap, so the seeding sweep is
-  // safe to run in parallel.
-  common::parallel_for(
-      heaps_.size(),
-      [this](std::size_t s) {
-        heaps_[s] = {};
-        for (const std::uint32_t p : shard_points_[s]) {
-          if (owner_[p] != kNoOwner && counts_[p] < k_) {
-            heaps_[s].push(Candidate{benefit_[p], p});
-          }
-        }
-      },
-      threads);
+  // Sequential merge: seed the heap with every owned uncovered point in
+  // id order, giving one deterministic initial layout.
+  heap_ = {};
+  for (std::size_t p = 0; p < benefit_.size(); ++p) {
+    if (owner_[p] != kNoOwner && counts_[p] < k_) {
+      heap_.push(Candidate{benefit_[p], p});
+    }
+  }
 }
 
 void BenefitIndex::touch(std::size_t point_id) {
@@ -198,7 +165,7 @@ void BenefitIndex::flush_touched() {
   // benefit (anything older is skipped as stale at pop time).
   for (const std::uint32_t p : touched_) {
     if (owner_[p] != kNoOwner && counts_[p] < k_) {
-      heaps_[shard_of_point_[p]].push(Candidate{benefit_[p], p});
+      heap_.push(Candidate{benefit_[p], p});
     }
   }
   touched_.clear();
@@ -254,96 +221,6 @@ void BenefitIndex::remove_disc(geom::Point2 pos, double radius,
     // delta above already touched it and flush re-queues it.
   });
   flush_touched();
-}
-
-void BenefitIndex::apply_discs(const std::vector<DiscDelta>& batch) {
-  if (batch.empty()) return;
-  common::ProfileScope profile(delta_sweep_hist());
-  delta_sweep_counter().inc(batch.size());
-  batch_counter().inc();
-  const std::size_t nshards = heaps_.size();
-
-  // Phase A — counts, parallel by owning shard. Each shard applies every
-  // event reaching its tile to the points it owns, recording each
-  // changed point's pre-batch count once (count_epoch_ dedup; the slot
-  // is only ever written by the point's own shard). Afterwards dq holds
-  // the net signed deficit change of the whole batch.
-  ++batch_epoch_;
-  common::parallel_for(
-      nshards,
-      [&](std::size_t s) {
-        auto& changed = batch_changed_[s];
-        changed.clear();
-        for (const auto& e : batch) {
-          if (e.mult == 0) continue;
-          if (!shards_.may_reach(s, e.pos, e.radius)) continue;
-          index_->for_each_in_disc(e.pos, e.radius, [&](std::size_t q) {
-            if (shard_of_point_[q] != s) return;
-            if (count_epoch_[q] != batch_epoch_) {
-              count_epoch_[q] = batch_epoch_;
-              changed.push_back(
-                  {static_cast<std::uint32_t>(q), counts_[q], 0});
-            }
-            if (e.mult > 0) {
-              counts_[q] += static_cast<std::uint32_t>(e.mult);
-            } else {
-              const auto drop = static_cast<std::uint32_t>(-e.mult);
-              DECOR_REQUIRE_MSG(counts_[q] >= drop,
-                                "removing a disc that was never added here");
-              counts_[q] -= drop;
-            }
-          });
-        }
-        for (auto& c : changed) {
-          const std::uint32_t now = counts_[c.point];
-          const std::int64_t d0 = c.old_count >= k_ ? 0 : k_ - c.old_count;
-          const std::int64_t d1 = now >= k_ ? 0 : k_ - now;
-          c.dq = d1 - d0;
-        }
-      },
-      threads_);
-
-  // Phase B — benefits, parallel by destination shard. Every shard scans
-  // all shards' changed lists in ascending shard order and folds the
-  // deficit deltas into the benefits of its own points within rs. The
-  // deltas are integers, so the fold is exact in any order; iterating in
-  // fixed order anyway keeps the per-shard heap push sequence (via the
-  // touched lists) deterministic too.
-  ++epoch_;
-  common::parallel_for(
-      nshards,
-      [&](std::size_t s) {
-        auto& touched = batch_touched_[s];
-        touched.clear();
-        for (std::size_t t = 0; t < nshards; ++t) {
-          for (const auto& c : batch_changed_[t]) {
-            if (c.dq == 0) continue;
-            const std::int64_t own = owner_[c.point];
-            if (own == kNoOwner) continue;
-            const geom::Point2 qp = index_->point(c.point);
-            if (!shards_.may_reach(s, qp, rs_)) continue;
-            index_->for_each_in_disc(qp, rs_, [&](std::size_t p) {
-              if (shard_of_point_[p] != s || owner_[p] != own) return;
-              const std::int64_t b =
-                  static_cast<std::int64_t>(benefit_[p]) + c.dq;
-              DECOR_ASSERT(b >= 0);
-              benefit_[p] = static_cast<std::uint64_t>(b);
-              if (touch_epoch_[p] != epoch_) {
-                touch_epoch_[p] = epoch_;
-                touched.push_back(static_cast<std::uint32_t>(p));
-              }
-            });
-          }
-        }
-        // Per-shard flush: one fresh snapshot per touched point, into
-        // this shard's own heap.
-        for (const std::uint32_t p : touched) {
-          if (owner_[p] != kNoOwner && counts_[p] < k_) {
-            heaps_[s].push(Candidate{benefit_[p], p});
-          }
-        }
-      },
-      threads_);
 }
 
 std::size_t BenefitIndex::add_disc_owned(geom::Point2 pos, double radius,
@@ -404,94 +281,22 @@ void BenefitIndex::set_owner(std::size_t point_id, std::int64_t new_owner) {
   flush_touched();
 }
 
-std::optional<BenefitIndex::Candidate> BenefitIndex::shard_best(
-    std::size_t shard, bool skip_accepted) const {
-  auto& heap = heaps_[shard];
+std::optional<BenefitIndex::Candidate> BenefitIndex::best() const {
   std::uint64_t stale = 0;
   std::optional<Candidate> found;
-  while (!heap.empty()) {
-    const Candidate top = heap.top();
+  while (!heap_.empty()) {
+    const Candidate top = heap_.top();
     const bool candidate =
-        owner_[top.point] != kNoOwner && counts_[top.point] < k_ &&
-        !(skip_accepted && accepted_epoch_[top.point] == select_epoch_);
+        owner_[top.point] != kNoOwner && counts_[top.point] < k_;
     if (candidate && benefit_[top.point] == top.benefit) {
       found = top;
       break;
     }
-    heap.pop();  // stale snapshot, no longer a candidate, or accepted
+    heap_.pop();  // stale snapshot or no longer a candidate
     ++stale;
   }
   if (stale > 0) stale_pop_counter().inc(stale);
   return found;
-}
-
-std::optional<BenefitIndex::Candidate> BenefitIndex::best() const {
-  // Merge the per-shard tops under the same (benefit desc, point asc)
-  // total order the heaps use; ascending shard order makes the scan
-  // deterministic, the total order makes the winner independent of the
-  // shard layout.
-  std::optional<Candidate> found;
-  for (std::size_t s = 0; s < heaps_.size(); ++s) {
-    const auto c = shard_best(s, /*skip_accepted=*/false);
-    if (c && (!found || Worse{}(*found, *c))) found = c;
-  }
-  return found;
-}
-
-std::vector<BenefitIndex::Candidate> BenefitIndex::select_batch(
-    double place_radius, std::size_t max_batch) {
-  std::vector<Candidate> out;
-  if (max_batch == 0) return out;
-  ++select_epoch_;
-  // Two placements interact iff some point lies within rs of one
-  // candidate and within place_radius of the other — impossible beyond
-  // place_radius + rs (<= is kept as conflict: a too-early stop only
-  // shortens the batch, never changes the sequence).
-  const double conflict_r = place_radius + rs_;
-  const double conflict_r2 = conflict_r * conflict_r;
-  std::vector<geom::Point2> accepted_pos;
-  while (out.size() < max_batch) {
-    std::optional<Candidate> found;
-    std::size_t found_shard = 0;
-    for (std::size_t s = 0; s < heaps_.size(); ++s) {
-      const auto c = shard_best(s, /*skip_accepted=*/true);
-      if (c && (!found || Worse{}(*found, *c))) {
-        found = c;
-        found_shard = s;
-      }
-    }
-    if (!found) break;
-    const geom::Point2 pos = index_->point(found->point);
-    bool conflict = false;
-    for (const geom::Point2 a : accepted_pos) {
-      if (geom::distance_sq(pos, a) <= conflict_r2) {
-        conflict = true;
-        break;
-      }
-    }
-    if (conflict) break;  // its benefit may change once the batch lands
-    accepted_epoch_[found->point] = select_epoch_;
-    heaps_[found_shard].pop();  // consume the winning snapshot
-    accepted_pos.push_back(pos);
-    out.push_back(*found);
-  }
-  return out;
-}
-
-std::size_t BenefitIndex::heap_size() const noexcept {
-  std::size_t total = 0;
-  for (const auto& h : heaps_) total += h.size();
-  return total;
-}
-
-std::optional<BenefitIndex::Candidate> BenefitIndex::best_believed(
-    const geom::PointGridIndex& points, double rs, std::uint32_t k,
-    const std::vector<std::uint32_t>& candidates,
-    const std::function<std::optional<std::uint32_t>(std::size_t)>&
-        count_of) {
-  const auto choice = choose_believed(points, rs, k, candidates, count_of);
-  if (!choice) return std::nullopt;
-  return choice->best;
 }
 
 std::optional<BenefitIndex::BelievedChoice> BenefitIndex::choose_believed(

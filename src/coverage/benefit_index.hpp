@@ -22,27 +22,12 @@
 // (Voronoi claims). Points labelled kNoOwner contribute nothing and are
 // never candidates.
 //
-// Arg-max queries go through lazy max-heaps in the event_queue.hpp
+// Arg-max queries go through a lazy max-heap in the event_queue.hpp
 // spirit: entries are (benefit, point) snapshots, every benefit change
 // pushes a fresh snapshot, and stale or covered entries are skipped at
 // pop time. Tie-breaking is (benefit desc, point id asc) — the same order
 // a sequential rescan of the candidate list produces — so the index is
 // exact: placement sequences are byte-identical to naive recomputation.
-//
-// Sharding (mega-scale fields): a ShardSpec tiles the field into shards,
-// each owning the points inside its tile with its own max-heap. All
-// sequential operations behave identically for any shard count — best()
-// merges the per-shard heap tops under the same total order, and at
-// shards=1 the layout is byte-identical to the historical single heap.
-// What sharding buys is the batched path: apply_discs() applies a whole
-// batch of disc events in two parallel_for sweeps with disjoint per-shard
-// writes (phase A: counts, by owning shard; phase B: benefits, by
-// destination shard over every shard's changed-deficit list in fixed
-// order), and select_batch() extracts a provably conflict-free prefix of
-// the greedy sequence so an engine can amortize one batched update over
-// many placements. Both are deterministic for any thread count and
-// observationally identical to the equivalent sequence of sequential
-// calls.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +38,6 @@
 #include <vector>
 
 #include "coverage/coverage_map.hpp"
-#include "coverage/shard.hpp"
 #include "geometry/grid_index.hpp"
 #include "geometry/point.hpp"
 
@@ -69,35 +53,24 @@ class BenefitIndex {
     std::size_t point = 0;
   };
 
-  /// One disc event in a batch: `mult` coincident discs added (positive)
-  /// or removed (negative) at `pos`.
-  struct DiscDelta {
-    geom::Point2 pos;
-    double radius = 0.0;
-    std::int32_t mult = 1;
-  };
-
   /// Builds the index over `map`'s point set with the map's current
   /// coverage counts (the centralized ground-truth view). `owners` gives
   /// the per-point responsibility labels; empty means one shared owner 0.
-  /// `threads` feeds the parallel bulk rebuild and the batched sweeps
-  /// (0 = hardware default). `spec` tiles the field into shards.
+  /// `threads` feeds the parallel bulk rebuild (0 = hardware default).
   BenefitIndex(const CoverageMap& map, std::uint32_t k,
                std::vector<std::int64_t> owners = {},
-               std::size_t threads = 0, ShardSpec spec = {});
+               std::size_t threads = 0);
 
   /// Builds the index over a raw point index with all counts zero (the
   /// distributed engines' belief state starts empty).
   BenefitIndex(std::shared_ptr<const geom::PointGridIndex> index, double rs,
                std::uint32_t k, std::vector<std::int64_t> owners = {},
-               std::size_t threads = 0, ShardSpec spec = {});
+               std::size_t threads = 0);
 
   std::uint32_t k() const noexcept { return k_; }
   double rs() const noexcept { return rs_; }
   std::size_t num_points() const noexcept { return counts_.size(); }
   const geom::PointGridIndex& points() const noexcept { return *index_; }
-  std::size_t num_shards() const noexcept { return heaps_.size(); }
-  const ShardGrid& shard_grid() const noexcept { return shards_; }
 
   /// Believed coverage count of one point.
   std::uint32_t count(std::size_t point_id) const {
@@ -118,10 +91,6 @@ class BenefitIndex {
   std::int64_t owner(std::size_t point_id) const {
     return owner_[point_id];
   }
-  /// Shard owning one point (its tile under the ShardSpec grid).
-  std::size_t shard(std::size_t point_id) const {
-    return shard_of_point_[point_id];
-  }
 
   /// Registers `mult` coincident sensing discs at `pos` (multiplicity
   /// matters: k-coverage routinely stacks sensors on one point).
@@ -129,15 +98,6 @@ class BenefitIndex {
 
   /// Unregisters discs previously added with the same position/radius.
   void remove_disc(geom::Point2 pos, double radius, std::uint32_t mult = 1);
-
-  /// Applies a whole batch of disc events with two parallel sweeps over
-  /// shards (counts by owning shard, then benefits by destination
-  /// shard). Observationally identical to calling add_disc/remove_disc
-  /// for each event in order, and byte-deterministic for any thread or
-  /// shard count: every shard writes only its own points and reads the
-  /// other shards' changed-deficit lists in fixed shard order (integer
-  /// deltas commute, so partial sums never depend on interleaving).
-  void apply_discs(const std::vector<DiscDelta>& batch);
 
   /// Count update restricted to the points labelled `owner` — one grid
   /// leader learning of a placement updates only its own cell's belief.
@@ -151,38 +111,26 @@ class BenefitIndex {
   void set_owner(std::size_t point_id, std::int64_t new_owner);
 
   /// Recomputes every benefit from the current counts and owners (cold
-  /// start) with a parallel_for over points, then reseeds the per-shard
-  /// heaps in point-id order. Bit-identical for any thread count: each
-  /// point's benefit is written to its own slot and each shard's heap is
-  /// seeded from its own ascending point list (the parallel.hpp
-  /// contract).
+  /// start) with a parallel_for over points, then reseeds the heap in
+  /// point-id order. Bit-identical for any thread count: each point's
+  /// benefit is written to its own slot (the parallel.hpp contract).
   void rebuild(std::size_t threads = 0);
 
   /// Best owned uncovered candidate, (benefit desc, point id asc), or
-  /// nullopt when every owned point is covered. Merges the per-shard
-  /// heap tops in ascending shard order under the same total order, so
-  /// the result is independent of the shard count. Non-destructive: the
+  /// nullopt when every owned point is covered. Non-destructive: the
   /// returned entry stays valid until the next mutation invalidates it.
   std::optional<Candidate> best() const;
 
-  /// Pops up to `max_batch` successive greedy winners that provably
-  /// cannot interact: candidate i+1 is accepted only while it lies
-  /// farther than place_radius + rs from every earlier acceptance, so no
-  /// accepted placement's disc (radius place_radius) can change any
-  /// other acceptance's benefit. The returned sequence is exactly the
-  /// prefix best()/add_disc(place_radius) would produce one at a time
-  /// (benefits only decrease under adds, so untouched candidates keep
-  /// their rank under the total order). Stops at the first conflict.
-  ///
-  /// Contract: the caller must commit the batch — apply_discs with one
-  /// add at each accepted position — before the next query; between the
-  /// two calls the heap invariant is suspended for the accepted points.
-  std::vector<Candidate> select_batch(double place_radius,
-                                      std::size_t max_batch);
-
-  /// Heap entries pending across all shards, valid and stale
-  /// (observability / tests).
-  std::size_t heap_size() const noexcept;
+  /// A choose_believed decision with the context the placement audit
+  /// log records: the winning candidate, the runner-up benefit
+  /// (second-best eligible candidate; equals best.benefit on a tie, 0
+  /// when the winner was unopposed) and how many eligible candidates were
+  /// scanned.
+  struct BelievedChoice {
+    Candidate best;
+    std::uint64_t runner_up = 0;
+    std::size_t scanned = 0;
+  };
 
   /// One-shot arg-max used by the simulator nodes, whose believed counts
   /// are rebuilt from radio state every tick (nothing persists for the
@@ -191,24 +139,6 @@ class BenefitIndex {
   /// then neither contributes deficit nor qualifies as a candidate).
   /// Candidates are scanned in the given order and the first maximum
   /// wins, matching the engines' sequential scans.
-  static std::optional<Candidate> best_believed(
-      const geom::PointGridIndex& points, double rs, std::uint32_t k,
-      const std::vector<std::uint32_t>& candidates,
-      const std::function<std::optional<std::uint32_t>(std::size_t)>&
-          count_of);
-
-  /// A best_believed decision with the context the placement audit log
-  /// records: the winning candidate, the runner-up benefit (second-best
-  /// eligible candidate; equals best.benefit on a tie, 0 when the winner
-  /// was unopposed) and how many eligible candidates were scanned.
-  struct BelievedChoice {
-    Candidate best;
-    std::uint64_t runner_up = 0;
-    std::size_t scanned = 0;
-  };
-
-  /// best_believed plus decision context. The winner (and its scan order)
-  /// is bit-identical to best_believed.
   static std::optional<BelievedChoice> choose_believed(
       const geom::PointGridIndex& points, double rs, std::uint32_t k,
       const std::vector<std::uint32_t>& candidates,
@@ -225,16 +155,6 @@ class BenefitIndex {
 
   using Heap =
       std::priority_queue<Candidate, std::vector<Candidate>, Worse>;
-
-  /// A point whose coverage count changed during a batch, with the
-  /// resulting signed deficit delta (new - old).
-  struct ChangedDeficit {
-    std::uint32_t point = 0;
-    std::uint32_t old_count = 0;
-    std::int64_t dq = 0;
-  };
-
-  void init_shards(ShardSpec spec);
 
   /// Full Equation-1 sum for one point from current counts/owners.
   std::uint64_t recompute_one(std::size_t point_id) const;
@@ -262,16 +182,9 @@ class BenefitIndex {
   void touch(std::size_t point_id);
   void flush_touched();
 
-  /// Valid top of one shard's heap after discarding stale / covered
-  /// snapshots (and, when `skip_accepted`, points already taken by the
-  /// running select_batch).
-  std::optional<Candidate> shard_best(std::size_t shard,
-                                      bool skip_accepted) const;
-
   std::shared_ptr<const geom::PointGridIndex> index_;
   double rs_;
   std::uint32_t k_;
-  std::size_t threads_;  // hint for rebuild and the batched sweeps
   std::vector<std::uint32_t> counts_;
   std::vector<std::int64_t> owner_;
   std::vector<std::uint64_t> benefit_;
@@ -281,38 +194,16 @@ class BenefitIndex {
   std::vector<std::vector<std::uint32_t>> owner_points_;
   double points_per_area_ = 0.0;
 
-  // Shard tiling: per-point shard labels and each shard's ascending
-  // point-id list (heap reseeds and per-shard sweeps).
-  ShardGrid shards_;
-  std::vector<std::uint32_t> shard_of_point_;
-  std::vector<std::vector<std::uint32_t>> shard_points_;
-
-  // Lazy max-heaps of (benefit, point) snapshots, one per shard; stale
-  // and covered entries are skipped in best(). Mutable: cleaning is
-  // observationally const.
-  mutable std::vector<Heap> heaps_;
+  // Lazy max-heap of (benefit, point) snapshots; stale and covered
+  // entries are skipped in best(). Mutable: cleaning is observationally
+  // const.
+  mutable Heap heap_;
 
   // Epoch-stamped dedup of points touched by one mutation, so each gets
   // one fresh heap entry per event instead of one per changed neighbor.
-  // Batched sweeps reuse touch_epoch_ with per-shard touched lists:
-  // every slot is written only by the shard owning the point, so the
-  // parallel phase-B writes stay disjoint.
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> touch_epoch_;
   std::vector<std::uint32_t> touched_;
-
-  // apply_discs scratch, reused across batches: per-source-shard changed
-  // deficits (phase A output) and per-destination-shard touched lists
-  // (phase B output).
-  std::vector<std::vector<ChangedDeficit>> batch_changed_;
-  std::vector<std::vector<std::uint32_t>> batch_touched_;
-  std::vector<std::uint64_t> count_epoch_;
-  std::uint64_t batch_epoch_ = 0;
-
-  // select_batch bookkeeping: points accepted by the current selection
-  // are skipped when cleaning heap tops.
-  std::uint64_t select_epoch_ = 0;
-  std::vector<std::uint64_t> accepted_epoch_;
 };
 
 }  // namespace decor::coverage

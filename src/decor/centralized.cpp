@@ -15,42 +15,17 @@ DeploymentResult centralized_greedy(Field& field, EngineLimits limits) {
   // The index seeds from the map's current counts (parallel bulk rebuild)
   // and thereafter tracks every placement with a 2*rs delta update, so
   // each iteration's arg-max is one lazy heap query instead of a rescan.
-  coverage::BenefitIndex index(map, k, {}, 0,
-                               coverage::ShardSpec{field.params.shards});
+  coverage::BenefitIndex index(map, k);
 
-  if (index.num_shards() <= 1) {
-    while (result.placed_nodes < limits.max_new_nodes) {
-      const auto best = index.best();
-      if (!best) break;  // every point k-covered
-      const geom::Point2 pos = map.index().point(best->point);
-      field.deploy(pos);
-      index.add_disc(pos, map.rs());
-      ++result.placed_nodes;
-      result.placements.push_back(pos);
-      if (limits.on_place) limits.on_place(result.placed_nodes, map);
-    }
-  } else {
-    // Sharded drain: pull a conflict-free prefix of the greedy sequence,
-    // deploy it, then land all its discs in one batched two-phase sweep
-    // across shards. select_batch guarantees the prefix is exactly what
-    // the sequential loop above would have placed, so the placement
-    // sequence is byte-identical for every shard count.
-    std::vector<coverage::BenefitIndex::DiscDelta> discs;
-    while (result.placed_nodes < limits.max_new_nodes) {
-      const auto batch = index.select_batch(
-          map.rs(), limits.max_new_nodes - result.placed_nodes);
-      if (batch.empty()) break;  // every point k-covered
-      discs.clear();
-      for (const auto& c : batch) {
-        const geom::Point2 pos = map.index().point(c.point);
-        field.deploy(pos);
-        ++result.placed_nodes;
-        result.placements.push_back(pos);
-        if (limits.on_place) limits.on_place(result.placed_nodes, map);
-        discs.push_back({pos, map.rs(), 1});
-      }
-      index.apply_discs(discs);
-    }
+  while (result.placed_nodes < limits.max_new_nodes) {
+    const auto best = index.best();
+    if (!best) break;  // every point k-covered
+    const geom::Point2 pos = map.index().point(best->point);
+    field.deploy(pos);
+    index.add_disc(pos, map.rs());
+    ++result.placed_nodes;
+    result.placements.push_back(pos);
+    if (limits.on_place) limits.on_place(result.placed_nodes, map);
   }
   result.reached_full_coverage = map.fully_covered(k);
   return result;

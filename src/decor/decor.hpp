@@ -39,5 +39,4 @@
 #include "lds/halton.hpp"
 #include "lds/hammersley.hpp"
 #include "lds/random_points.hpp"
-#include "sim/failure.hpp"
 #include "sim/world.hpp"

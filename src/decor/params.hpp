@@ -38,13 +38,6 @@ struct DecorParams {
   std::size_t num_points = 2000;
   PointKind point_kind = PointKind::kHalton;
 
-  /// Shard count for the sharded BenefitIndex (mega-scale fields): the
-  /// field is tiled into this many rectangles, each owning its points'
-  /// benefits and heap. 1 (default) is the unsharded engine; 0 means one
-  /// shard per hardware thread. Results are identical for every value —
-  /// shards only change how the work is laid out.
-  std::size_t shards = 1;
-
   /// Nonzero applies deterministic digit scrambling to the Halton /
   /// Hammersley generators.
   std::uint64_t scramble_seed = 0;

@@ -1,13 +1,14 @@
 // Declarative fault-injection campaigns (schema decor.faults.v1).
 //
-// The chaos helpers in failure.hpp model the two easiest faults —
-// permanent kills and channel loss. Real deployments also see reboots
-// that lose protocol state, radio partitions that later heal, corrupted
-// frames, and sink outages. A FaultPlan describes such a campaign
-// declaratively (parseable from JSON via common::parse_json); the
-// FaultInjector arms every event on the simulator queue, so a campaign
-// is as deterministic as the protocol run it disturbs: same seed, same
-// plan, same trajectory.
+// Permanent kills (core::fail_random_fraction / fail_area on an engine's
+// field, ProtocolHarness::schedule_random_kills in a protocol run) and
+// channel loss are the two easiest faults. Real deployments also see
+// reboots that lose protocol state, radio partitions that later heal,
+// corrupted frames, and sink outages. A FaultPlan describes such a
+// campaign declaratively (parseable from JSON via common::parse_json);
+// the FaultInjector arms every event on the simulator queue, so a
+// campaign is as deterministic as the protocol run it disturbs: same
+// seed, same plan, same trajectory.
 //
 // Fault classes:
 //   reboot      kill `count` nodes (or a `fraction` of the alive set) at

@@ -306,8 +306,8 @@ TEST_P(Seeded, BestBelievedMatchesSequentialScan) {
   rng.shuffle(candidates);  // caller order is authoritative, not id order
 
   auto count_of = [&](std::size_t pid) { return counts[pid]; };
-  const auto got = BenefitIndex::best_believed(points, 3.0, k, candidates,
-                                               count_of);
+  const auto choice = BenefitIndex::choose_believed(points, 3.0, k,
+                                                    candidates, count_of);
 
   std::optional<BenefitIndex::Candidate> want;
   for (const std::uint32_t pid : candidates) {
@@ -318,10 +318,10 @@ TEST_P(Seeded, BestBelievedMatchesSequentialScan) {
     });
     if (!want || b > want->benefit) want = {b, pid};
   }
-  ASSERT_EQ(got.has_value(), want.has_value());
-  if (got) {
-    EXPECT_EQ(got->point, want->point);
-    EXPECT_EQ(got->benefit, want->benefit);
+  ASSERT_EQ(choice.has_value(), want.has_value());
+  if (choice) {
+    EXPECT_EQ(choice->best.point, want->point);
+    EXPECT_EQ(choice->best.benefit, want->benefit);
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/options.hpp"
@@ -49,6 +52,23 @@ TEST(Options, PathFallsBackForBareAndEmpty) {
   EXPECT_EQ(parse({"--json", "--json=a.json"}).get_path("json", "d"),
             "a.json");
   EXPECT_EQ(parse({"--json=a.json", "--json"}).get_path("json", "d"), "d");
+}
+
+TEST(Options, BarePathWithoutDefaultIsAnError) {
+  // A bare flag with a default takes it; one without a default names no
+  // file, so it is refused with the --key=PATH form instead of "true".
+  const auto o = parse({"--otlp", "--out"});
+  EXPECT_EQ(o.get_path("out", "explain.json"), "explain.json");
+  try {
+    (void)o.get_path("otlp", "");
+    FAIL() << "a bare --otlp must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--otlp=PATH"), std::string::npos)
+        << e.what();
+  }
+  // Absent and empty still read as "off".
+  EXPECT_EQ(o.get_path("trace-jsonl", ""), "");
+  EXPECT_EQ(parse({"--otlp="}).get_path("otlp", ""), "");
 }
 
 TEST(Options, BoolSpellings) {

@@ -1,7 +1,9 @@
 # A run writes files and stdout only. Each network or child-process
-# target must be refused before anything is built: exit nonzero, name
-# the file or pipe form on stderr, and leave the working directory
-# empty (no file named after the target, no partial artifact).
+# target must be refused before anything is built: exit 1, name the file
+# or pipe form on stderr, and leave the working directory empty (no file
+# named after the target, no partial artifact). A bare artifact flag
+# with no default path (--otlp, --trace-jsonl, --timeline-jsonl) names
+# no file, so it is refused the same way instead of writing ./true.
 #
 # Invoked by ctest as:
 #   cmake -DBIN=<decor_cli> -DOUT=<scratch dir> -P egress_rejected.cmake
@@ -23,9 +25,9 @@ function(check name needle)
     RESULT_VARIABLE rc
     OUTPUT_QUIET
     ERROR_VARIABLE err)
-  if(rc EQUAL 0)
+  if(NOT rc EQUAL 1)
     list(JOIN ARGN " " args)
-    message(FATAL_ERROR "${name}: decor ${args} exited 0")
+    message(FATAL_ERROR "${name}: decor ${args} exited ${rc}, not 1")
   endif()
   string(FIND "${err}" "${needle}" pos)
   if(pos EQUAL -1)
@@ -43,3 +45,7 @@ check(otlp_http "--otlp=FILE"
       ${sim} --trace --otlp=http://127.0.0.1:9/v1/traces)
 check(watch_spawn "--telemetry=- | decor watch -"
       watch --frames=1 -- ${sim})
+check(bare_otlp "--otlp=PATH" ${sim} --otlp)
+check(bare_trace_jsonl "--trace-jsonl=PATH" ${sim} --trace-jsonl)
+check(bare_timeline_jsonl "--timeline-jsonl=PATH"
+      ${sim} --timeline=1 --timeline-jsonl)

@@ -100,6 +100,26 @@ if(pos EQUAL -1)
   message(FATAL_ERROR "diff --json report lacks the propagation verdict")
 endif()
 
+# A bare --out takes the default, <run-dir>/explain.json, not ./true.
+execute_process(
+  COMMAND ${BIN} explain ${lossy} --out
+  WORKING_DIRECTORY ${OUT}
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "decor_cli explain with a bare --out failed (rc=${rc})")
+endif()
+if(EXISTS ${OUT}/true)
+  message(FATAL_ERROR "a bare explain --out wrote a file named 'true'")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${OUT}/explain_a.json ${lossy}/explain.json
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "a bare --out did not write ${lossy}/explain.json")
+endif()
+
 # A missing run dir is an error, not an empty document.
 execute_process(
   COMMAND ${BIN} explain ${OUT}/no-such-run

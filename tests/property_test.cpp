@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "coverage/area_estimate.hpp"
@@ -225,85 +224,6 @@ TEST_P(Seeded, EnginesNeverReduceAnyPointsCoverage) {
   const auto& after = field.map.counts();
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_GE(after[i], before[i]);
-  }
-}
-
-// --- shard- and thread-count invariance ----------------------------------------
-
-TEST_P(Seeded, EngineOutcomeInvariantUnderShardCount) {
-  // The ShardSpec knob only changes the work layout: every engine must
-  // deploy the same sensors in the same order — and therefore produce
-  // identical final coverage — for any shard count at a fixed seed.
-  for (const auto scheme : {core::Scheme::kCentralized, core::Scheme::kGrid,
-                            core::Scheme::kVoronoi}) {
-    std::vector<std::uint32_t> flat_counts;
-    std::vector<geom::Point2> flat_placements;
-    for (const std::size_t shards : {1, 4, 7}) {
-      core::DecorParams params;
-      params.field = make_rect(0, 0, 30, 30);
-      params.num_points = 300;
-      params.k = 2;
-      params.shards = shards;
-      common::Rng rng(GetParam());
-      core::Field field(params, rng);
-      field.deploy_random(20, rng);
-      const auto result = core::run_engine(scheme, field, rng);
-      if (shards == 1) {
-        flat_counts = field.map.counts();
-        flat_placements = result.placements;
-        continue;
-      }
-      EXPECT_EQ(field.map.counts(), flat_counts)
-          << core::to_string(scheme) << " shards=" << shards;
-      ASSERT_EQ(result.placements.size(), flat_placements.size())
-          << core::to_string(scheme) << " shards=" << shards;
-      for (std::size_t i = 0; i < result.placements.size(); ++i) {
-        EXPECT_EQ(result.placements[i].x, flat_placements[i].x);
-        EXPECT_EQ(result.placements[i].y, flat_placements[i].y);
-      }
-    }
-  }
-}
-
-TEST_P(Seeded, BatchedSweepInvariantUnderThreadCount) {
-  // apply_discs runs its two phases through parallel_for; every thread
-  // count must produce byte-identical benefits, counts and winners
-  // (each shard writes only its own slots — the parallel.hpp contract).
-  common::Rng rng(GetParam());
-  const Rect field = make_rect(0, 0, 40, 40);
-  coverage::CoverageMap map(field, lds::halton_points(field, 600), 4.0);
-  const std::uint32_t k = 3;
-
-  std::vector<std::unique_ptr<coverage::BenefitIndex>> indices;
-  for (const std::size_t threads : {1, 2, 5}) {
-    indices.push_back(std::make_unique<coverage::BenefitIndex>(
-        map, k, std::vector<std::int64_t>{}, threads,
-        coverage::ShardSpec{4}));
-  }
-  for (int round = 0; round < 15; ++round) {
-    std::vector<coverage::BenefitIndex::DiscDelta> batch;
-    const std::size_t events = 1 + rng.below(10);
-    for (std::size_t e = 0; e < events; ++e) {
-      batch.push_back({lds::random_point(field, rng),
-                       rng.uniform(2.0, 6.0), 1});
-    }
-    for (auto& index : indices) index->apply_discs(batch);
-    for (std::size_t p = 0; p < indices.front()->num_points(); ++p) {
-      for (std::size_t i = 1; i < indices.size(); ++i) {
-        ASSERT_EQ(indices[i]->benefit(p), indices.front()->benefit(p))
-            << "round " << round << ", point " << p;
-        ASSERT_EQ(indices[i]->count(p), indices.front()->count(p));
-      }
-    }
-    const auto expect = indices.front()->best();
-    for (std::size_t i = 1; i < indices.size(); ++i) {
-      const auto got = indices[i]->best();
-      ASSERT_EQ(got.has_value(), expect.has_value());
-      if (expect) {
-        ASSERT_EQ(got->point, expect->point);
-        ASSERT_EQ(got->benefit, expect->benefit);
-      }
-    }
   }
 }
 

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/require.hpp"
-#include "sim/failure.hpp"
 #include "sim/message.hpp"
 #include "sim/node.hpp"
 #include "sim/radio.hpp"

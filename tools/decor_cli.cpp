@@ -174,9 +174,6 @@ core::DecorParams params_from(const common::Options& opts) {
   p.rc = opts.get_double("rc", 2.0 * p.rs);
   p.cell_side = opts.get_double("cell", 5.0);
   p.num_points = static_cast<std::size_t>(opts.get_int("points", 2000));
-  // --shards=N tiles the field for the sharded BenefitIndex; 0 = one
-  // shard per hardware thread. Placements are identical for every value.
-  p.shards = static_cast<std::size_t>(opts.get_int("shards", 1));
   const std::string kind = option_choice(
       opts, "point-kind", "halton",
       {"halton", "hammersley", "random", "jittered"});
@@ -230,7 +227,7 @@ void report_deployment(const core::Field& field,
 /// event clock).
 std::unique_ptr<coverage::FieldRecorder> make_field_recorder(
     const common::Options& opts, const core::DecorParams& params) {
-  const std::string path = opts.get("field-jsonl", "");
+  const std::string path = opts.get_path("field-jsonl", "");
   if (path.empty()) return nullptr;
   const auto raster =
       static_cast<std::size_t>(opts.get_int("field-raster", 0));
@@ -383,27 +380,27 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
   // by --trace-cap), --trace-jsonl streams every record to a file,
   // --trace-perfetto renders the buffer as a Perfetto/chrome://tracing
   // file after the run (implies --trace).
-  const std::string trace_perfetto = opts.get("trace-perfetto", "");
+  const std::string trace_perfetto = opts.get_path("trace-perfetto", "");
   cfg.trace = opts.get_bool("trace", false) || !trace_perfetto.empty();
   cfg.trace_capacity =
       static_cast<std::size_t>(opts.get_int("trace-cap", 0));
-  cfg.trace_jsonl = opts.get("trace-jsonl", "");
+  cfg.trace_jsonl = opts.get_path("trace-jsonl", "");
   // Observability: --timeline=T samples the convergence timeline every T
   // sim-seconds (--timeline-jsonl streams it), --flight-dir arms the
   // flight recorder, --profile turns on the wall-clock scope timers.
   cfg.timeline_interval = opts.get_double("timeline", 0.0);
-  cfg.timeline_jsonl = opts.get("timeline-jsonl", "");
-  cfg.flight_dir = opts.get("flight-dir", "");
+  cfg.timeline_jsonl = opts.get_path("timeline-jsonl", "");
+  cfg.flight_dir = opts.get_path("flight-dir", "");
   // Spatial observability: --field=T snapshots the k-deficit raster every
   // T sim-seconds (--field-jsonl streams decor.field.v1, --field-raster
   // overrides the cell count), --audit-jsonl streams every placement
   // decision as decor.audit.v1 (--audit records them in memory only).
   cfg.field_interval = opts.get_double("field", 0.0);
-  cfg.field_jsonl = opts.get("field-jsonl", "");
+  cfg.field_jsonl = opts.get_path("field-jsonl", "");
   cfg.field_raster =
       static_cast<std::size_t>(opts.get_int("field-raster", 0));
   cfg.audit = opts.get_bool("audit", false);
-  cfg.audit_jsonl = opts.get("audit-jsonl", "");
+  cfg.audit_jsonl = opts.get_path("audit-jsonl", "");
   // Streaming telemetry: --metrics[=T] snapshots the metrics registry
   // every T sim-seconds as decor.metrics.v1 (--metrics-jsonl streams it
   // and, alone, rides the timeline cadence), --telemetry frames the
@@ -412,13 +409,13 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
   // file (implies --trace), --timeline-arq adds cumulative ARQ
   // sent/retx counters to every timeline sample.
   cfg.metrics_interval = opts.get_double("metrics", 0.0);
-  cfg.metrics_jsonl = opts.get("metrics-jsonl", "");
+  cfg.metrics_jsonl = opts.get_path("metrics-jsonl", "");
   if (cfg.metrics_interval <= 0.0 && opts.has("metrics")) {
     cfg.metrics_interval =
         cfg.timeline_interval > 0.0 ? cfg.timeline_interval : 1.0;
   }
-  cfg.telemetry_stream = opts.get("telemetry", "");
-  cfg.otlp = opts.get("otlp", "");
+  cfg.telemetry_stream = opts.get_path("telemetry", "");
+  cfg.otlp = opts.get_path("otlp", "");
   cfg.timeline_arq = opts.get_bool("timeline-arq", false);
   // Snapshots sample the global registry, so asking for them turns the
   // registry on even without --json (which enables it in main()).
@@ -446,7 +443,7 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
   // (reboots, partitions, frame corruption, sink outages) on the run;
   // --invariants=T samples the live safety checks every T sim-seconds
   // (plain --invariants selects the 0.5s default cadence).
-  const std::string fault_plan_path = opts.get("fault-plan", "");
+  const std::string fault_plan_path = opts.get_path("fault-plan", "");
   if (!fault_plan_path.empty()) {
     std::string error;
     auto plan = sim::FaultPlan::load(fault_plan_path, &error);
@@ -577,7 +574,7 @@ int cmd_watch(const common::Options& opts, CliReport& rep) {
   wopts.cols = static_cast<std::size_t>(opts.get_int("cols", 72));
   wopts.rows = static_cast<std::size_t>(opts.get_int("rows", 20));
   wopts.max_frames = static_cast<std::size_t>(opts.get_int("frames", 0));
-  const std::string out_path = opts.get("out", "");
+  const std::string out_path = opts.get_path("out", "");
   std::ofstream out_file;
   std::ostream* out = &std::cout;
   if (!out_path.empty()) {
@@ -749,7 +746,7 @@ int cmd_connectivity(const common::Options& opts, CliReport& rep) {
 /// Perfetto export (--trace-perfetto) already carries the tracker's legs
 /// on its span events. The file format is sniffed from the first line.
 int cmd_trace_report(const common::Options& opts, CliReport& rep) {
-  std::string path = opts.get("in", "");
+  std::string path = opts.get_path("in", "");
   const auto& pos = opts.positional();
   // Options drops the subcommand itself ("trace"), so positional()[0] is
   // "report" and [1] the dump path.
@@ -1136,10 +1133,8 @@ int cmd_explain(const common::Options& opts, CliReport& rep) {
     std::cout << "warning: " << warning << "\n";
   }
 
-  std::string out = opts.get("out", "");
-  if (out.empty()) {
-    out = (std::filesystem::path(pos[0]) / "explain.json").string();
-  }
+  const std::string out = opts.get_path(
+      "out", (std::filesystem::path(pos[0]) / "explain.json").string());
   const std::string json = core::explain_to_json(doc);
   std::ofstream f(out, std::ios::binary);
   if (!f.is_open()) {
@@ -1179,13 +1174,11 @@ int cmd_report(const common::Options& opts, CliReport& rep) {
   ropts.max_audit_rows =
       static_cast<std::size_t>(opts.get_int("max-audit-rows", 200));
   const std::string html = core::render_run_report_html(dirs, ropts);
-  std::string out = opts.get("out", "");
-  if (out.empty()) {
-    out = dirs.size() == 1
-              ? (std::filesystem::path(dirs.front()) / "report.html")
-                    .string()
-              : std::string("report.html");
-  }
+  const std::string out = opts.get_path(
+      "out", dirs.size() == 1
+                 ? (std::filesystem::path(dirs.front()) / "report.html")
+                       .string()
+                 : std::string("report.html"));
   std::ofstream f(out, std::ios::binary);
   if (!f.is_open()) {
     std::cerr << "error: cannot write " << out << "\n";
@@ -1290,7 +1283,7 @@ void usage() {
       "  bench diff    compare two decor.bench.v1 docs; --fail-over=PCT\n"
       "                exits 3 when any metric moved more than PCT%\n\n"
       "common flags: --k --rs --rc --side --points --initial --seed "
-      "--cell --point-kind --shards\n"
+      "--cell --point-kind\n"
       "telemetry: --json[=path] writes a decor.cli.v1 report (- for "
       "stdout; metrics snapshot included);\n"
       "  sim also takes --trace --trace-cap=N --trace-jsonl=path\n"
