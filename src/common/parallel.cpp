@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <exception>
-#include <memory>
 #include <mutex>
-#include <optional>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -14,12 +12,15 @@ namespace decor::common {
 
 namespace {
 
-// True on a pool worker thread or on a caller currently inside
-// parallel_for: nested calls run inline instead of re-entering the pool.
+// True on a worker thread or on a caller currently inside parallel_for:
+// nested calls run inline instead of starting more threads.
 thread_local bool tls_inside_parallel = false;
 
-// One dispatched parallel_for call. `next`/`abort` are the only fields
-// shared without the pool mutex; `joined`/`running` are guarded by it.
+// Far above any sane request; guards against runaway explicit counts.
+constexpr std::size_t kMaxWorkers = 64;
+
+// One parallel_for call's shared state. `next` and `abort` are read
+// without a lock; `first_error` is guarded by `error_mutex`.
 struct Job {
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t n = 0;
@@ -27,133 +28,26 @@ struct Job {
   std::atomic<bool> abort{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  std::size_t joined = 0;
-  std::size_t running = 0;
 };
 
-// Process-wide worker pool, grown lazily up to the largest worker count
-// any call has asked for (capped). Workers persist for the process
-// lifetime, so per-call cost is a condition-variable wake instead of
-// thread creation.
-class WorkerPool {
- public:
-  static WorkerPool& instance() {
-    static WorkerPool pool;
-    return pool;
-  }
-
-  /// Runs `fn` over [0, n) with up to `want` pool workers plus the
-  /// calling thread. Returns the worker count actually engaged, or
-  /// nullopt when the pool is busy with another caller (run inline
-  /// instead). Rethrows the job's first exception.
-  std::optional<std::size_t> run(std::size_t n,
-                                 const std::function<void(std::size_t)>& fn,
-                                 std::size_t want) {
-    // One dispatch at a time; a second concurrent caller degrades to
-    // inline execution rather than blocking behind the first.
-    std::unique_lock<std::mutex> run_lock(run_mutex_, std::try_to_lock);
-    if (!run_lock.owns_lock()) return std::nullopt;
-
-    auto job = std::make_shared<Job>();
-    job->fn = &fn;
-    job->n = n;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (shutdown_) return std::nullopt;
-      want = std::min<std::size_t>(want, kMaxWorkers);
-      while (threads_.size() < want) {
-        threads_.emplace_back([this] { worker_main(); });
+void work(Job& job) {
+  for (;;) {
+    // Fail fast: once a job has thrown, stop claiming new indices so the
+    // call returns (and rethrows) without running the remaining jobs to
+    // completion. Jobs already in flight still finish.
+    if (job.abort.load(std::memory_order_relaxed)) return;
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) return;
+    try {
+      (*job.fn)(i);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(job.error_mutex);
+        if (!job.first_error) job.first_error = std::current_exception();
       }
-      job_ = job;
-      wanted_ = want;
-      ++generation_;
-    }
-    work_cv_.notify_all();
-
-    work(*job);  // the caller is always one of the workers
-
-    std::size_t engaged = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wanted_ = 0;
-      job_ = nullptr;  // late wakers must not join a finished job
-      done_cv_.wait(lock, [&] { return job->running == 0; });
-      engaged = job->joined;
-    }
-    if (job->first_error) std::rethrow_exception(job->first_error);
-    return engaged;
-  }
-
- private:
-  // Far above any sane request; guards against runaway explicit counts.
-  static constexpr std::size_t kMaxWorkers = 64;
-
-  WorkerPool() = default;
-
-  ~WorkerPool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  static void work(Job& job) {
-    for (;;) {
-      // Fail fast: once a job has thrown, stop claiming new indices so
-      // the call returns (and rethrows) without running the remaining
-      // jobs to completion. Jobs already in flight still finish.
-      if (job.abort.load(std::memory_order_relaxed)) return;
-      const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= job.n) return;
-      try {
-        (*job.fn)(i);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(job.error_mutex);
-          if (!job.first_error) job.first_error = std::current_exception();
-        }
-        job.abort.store(true, std::memory_order_relaxed);
-      }
+      job.abort.store(true, std::memory_order_relaxed);
     }
   }
-
-  void worker_main() {
-    tls_inside_parallel = true;
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      work_cv_.wait(lock, [&] {
-        return shutdown_ || (job_ && wanted_ > 0 && generation_ != seen);
-      });
-      if (shutdown_) return;
-      seen = generation_;
-      --wanted_;
-      auto job = job_;
-      ++job->joined;
-      ++job->running;
-      lock.unlock();
-      work(*job);
-      lock.lock();
-      --job->running;
-      if (job->running == 0) done_cv_.notify_all();
-    }
-  }
-
-  std::mutex run_mutex_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> threads_;
-  std::shared_ptr<Job> job_;
-  std::size_t wanted_ = 0;
-  std::uint64_t generation_ = 0;
-  bool shutdown_ = false;
-};
-
-void run_inline(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < n; ++i) fn(i);
 }
 
 }  // namespace
@@ -168,30 +62,36 @@ std::size_t parallel_for(std::size_t n,
                          std::size_t threads) {
   if (n == 0) return 0;
   if (threads == 0) threads = default_thread_count();
-  // Never engage more workers than there are items: with threads > n the
-  // surplus workers would wake, find nothing to claim and go back to
-  // sleep — pure overhead on the per-batch hot path.
+  // Never start more workers than there are items to claim.
   threads = std::min(threads, n);
   if (threads <= 1 || tls_inside_parallel) {
-    run_inline(n, fn);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return 0;
   }
 
+  Job job;
+  job.fn = &fn;
+  job.n = n;
+  std::vector<std::thread> workers;
+  const std::size_t want = std::min(threads - 1, kMaxWorkers);
+  workers.reserve(want);
   tls_inside_parallel = true;  // nested calls from fn run inline
-  std::optional<std::size_t> engaged;
-  try {
-    engaged = WorkerPool::instance().run(n, fn, threads - 1);
-  } catch (...) {
-    tls_inside_parallel = false;
-    throw;
+  for (std::size_t w = 0; w < want; ++w) {
+    try {
+      workers.emplace_back([&job] {
+        tls_inside_parallel = true;
+        work(job);
+      });
+    } catch (const std::system_error&) {
+      break;  // out of threads: the ones started, and the caller, finish
+    }
   }
+  work(job);  // the caller is always one of the workers
+  for (auto& t : workers) t.join();
   tls_inside_parallel = false;
 
-  if (!engaged) {  // pool busy with a concurrent caller
-    run_inline(n, fn);
-    return 0;
-  }
-  return *engaged;
+  if (job.first_error) std::rethrow_exception(job.first_error);
+  return workers.size();
 }
 
 }  // namespace decor::common

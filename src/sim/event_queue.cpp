@@ -12,34 +12,17 @@ namespace {
 constexpr std::size_t kArity = 4;
 }  // namespace
 
-EventHandle EventQueue::schedule(Time at, std::function<void()> fn) {
+void EventQueue::schedule(Time at, std::function<void()> fn) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slots_.push_back(std::move(fn));
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
   }
-  const std::uint64_t seq = seq_++;
-  Slot& s = slots_[slot];
-  s.seq = seq;
-  s.live = true;
-  s.fn = std::move(fn);
-  push(Key{at, seq, slot});
-  return EventHandle(this, slot, seq);
-}
-
-void EventQueue::cancel(std::uint32_t slot, std::uint64_t seq) noexcept {
-  Slot& s = slots_[slot];
-  if (!s.live || s.seq != seq) return;  // already ran, or slot reused
-  // Free the slot before the callback's captures are destroyed, so a
-  // destructor that touches the queue sees it consistent. Its heap key
-  // stays behind until it reaches the front (lazy deletion).
-  std::function<void()> dropped = std::move(s.fn);
-  s.live = false;
-  free_slots_.push_back(slot);
-  drop_cancelled_front();
+  push(Key{at, seq_++, slot});
 }
 
 void EventQueue::push(Key key) {
@@ -77,10 +60,6 @@ void EventQueue::pop_front() noexcept {
   heap_[i] = last;
 }
 
-void EventQueue::drop_cancelled_front() noexcept {
-  while (!heap_.empty() && !live(heap_.front())) pop_front();
-}
-
 Time EventQueue::next_time() const {
   DECOR_REQUIRE_MSG(!heap_.empty(), "next_time on empty event queue");
   return heap_.front().at;
@@ -92,12 +71,11 @@ Time EventQueue::pop_and_run() {
   pop_front();
   // Move the callback out and free its slot before running it: the
   // callback may schedule, which can reuse the slot or grow the table.
-  Slot& s = slots_[key.slot];
-  std::function<void()> fn = std::move(s.fn);
-  s.live = false;
+  std::function<void()> fn = std::move(slots_[key.slot]);
   free_slots_.push_back(key.slot);
-  // The one cancelled-key check per event: the next front must be live.
-  drop_cancelled_front();
+  // Start loading the next event's callback while this one runs; without
+  // it the next dispatch stalls on the slot table's cache miss.
+  if (!heap_.empty()) __builtin_prefetch(&slots_[heap_.front().slot]);
   fn();
   return key.at;
 }

@@ -19,11 +19,11 @@ bool NodeProcess::unicast(std::uint32_t dst, Message msg, double range) {
   return world_->radio().unicast(*this, dst, msg, range);
 }
 
-EventHandle NodeProcess::set_timer(Time delay, std::function<void()> fn) {
+void NodeProcess::set_timer(Time delay, std::function<void()> fn) {
   // The guard keeps a timer from firing on a node that died while the
   // timer was pending (process objects outlive their death, so the
   // captured `this` stays valid).
-  return world_->sim().schedule(delay, [this, fn = std::move(fn)] {
+  world_->sim().schedule(delay, [this, fn = std::move(fn)] {
     if (alive_) fn();
   });
 }

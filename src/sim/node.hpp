@@ -68,7 +68,7 @@ class NodeProcess {
 
   /// Schedules `fn` after `delay`; the callback is suppressed if the node
   /// has died in the meantime.
-  EventHandle set_timer(Time delay, std::function<void()> fn);
+  void set_timer(Time delay, std::function<void()> fn);
 
  private:
   friend class World;

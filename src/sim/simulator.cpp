@@ -15,14 +15,14 @@ common::Histogram& drain_hist() {
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
-EventHandle Simulator::schedule(Time delay, std::function<void()> fn) {
+void Simulator::schedule(Time delay, std::function<void()> fn) {
   DECOR_REQUIRE_MSG(delay >= 0.0, "cannot schedule into the past");
-  return queue_.schedule(now_ + delay, std::move(fn));
+  queue_.schedule(now_ + delay, std::move(fn));
 }
 
-EventHandle Simulator::schedule_at(Time at, std::function<void()> fn) {
+void Simulator::schedule_at(Time at, std::function<void()> fn) {
   DECOR_REQUIRE_MSG(at >= now_, "cannot schedule into the past");
-  return queue_.schedule(at, std::move(fn));
+  queue_.schedule(at, std::move(fn));
 }
 
 void Simulator::run() {
@@ -30,8 +30,7 @@ void Simulator::run() {
   stopped_ = false;
   while (!stopped_ && !queue_.empty()) {
     // Advance the clock before running the event so the callback observes
-    // its own timestamp (and schedules relative to it). The queue's
-    // front is always live, so neither call re-checks for cancellation.
+    // its own timestamp (and schedules relative to it).
     now_ = queue_.next_time();
     queue_.pop_and_run();
     ++executed_;

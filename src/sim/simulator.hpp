@@ -16,10 +16,10 @@ class Simulator {
   Time now() const noexcept { return now_; }
 
   /// Schedules `fn` after `delay` seconds (delay >= 0).
-  EventHandle schedule(Time delay, std::function<void()> fn);
+  void schedule(Time delay, std::function<void()> fn);
 
   /// Schedules `fn` at absolute time `at` (at >= now()).
-  EventHandle schedule_at(Time at, std::function<void()> fn);
+  void schedule_at(Time at, std::function<void()> fn);
 
   /// Runs until the queue drains or `stop()` is called.
   void run();
@@ -31,7 +31,6 @@ class Simulator {
   void stop() noexcept { stopped_ = true; }
 
   std::uint64_t events_executed() const noexcept { return executed_; }
-  std::size_t events_pending() const noexcept { return queue_.pending(); }
 
   /// Simulation-wide RNG (all protocol randomness draws from here so a run
   /// is reproducible from the constructor seed).

@@ -36,34 +36,6 @@ TEST(EventQueue, TiesBreakByInsertion) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue q;
-  bool ran = false;
-  auto h = q.schedule(1.0, [&] { ran = true; });
-  h.cancel();
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelOneOfMany) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(1.0, [&] { order.push_back(1); });
-  auto h = q.schedule(2.0, [&] { order.push_back(2); });
-  q.schedule(3.0, [&] { order.push_back(3); });
-  h.cancel();
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  auto h = q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
-  h.cancel();
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
-}
-
 TEST(EventQueue, EventsCanScheduleEvents) {
   EventQueue q;
   int fired = 0;
@@ -101,45 +73,6 @@ TEST(EventQueue, PopMovesCallbackOutOfHeap) {
       << "pop_and_run must not copy the scheduled callable";
 }
 
-TEST(EventQueue, StaleHandleCancelsNothing) {
-  // The first event runs and frees its slot; the next schedule reuses
-  // that slot. The old handle still names the slot, but not the event in
-  // it now, so cancelling it must leave the new event alone.
-  EventQueue q;
-  bool first = false;
-  bool second = false;
-  auto stale = q.schedule(1.0, [&] { first = true; });
-  q.pop_and_run();
-  auto fresh = q.schedule(2.0, [&] { second = true; });
-  stale.cancel();
-  EXPECT_TRUE(stale.cancelled());
-  EXPECT_FALSE(fresh.cancelled());
-  ASSERT_FALSE(q.empty());
-  q.pop_and_run();
-  EXPECT_TRUE(first);
-  EXPECT_TRUE(second);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelAfterRunAndTwiceIsHarmless) {
-  EventQueue q;
-  int ran = 0;
-  auto done = q.schedule(1.0, [&] { ++ran; });
-  q.pop_and_run();
-  done.cancel();  // its event already ran: no-op
-  EXPECT_EQ(ran, 1);
-
-  std::vector<int> order;
-  auto h = q.schedule(2.0, [&] { order.push_back(2); });
-  q.schedule(3.0, [&] { order.push_back(3); });
-  h.cancel();
-  h.cancel();  // the second cancel finds the slot free
-  q.schedule(4.0, [&] { order.push_back(4); });  // may reuse h's slot
-  h.cancel();  // ... and must not cancel the event now in it
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{3, 4}));
-}
-
 TEST(EventQueue, CallbackGrowingTheSlotTableKeepsOrder) {
   // One callback schedules 1000 events, so the slot table reallocates
   // while that callback (already moved out of its slot) is running.
@@ -163,61 +96,38 @@ TEST(EventQueue, CallbackGrowingTheSlotTableKeepsOrder) {
 
 TEST(EventQueue, MatchesASortedReferenceUnderRandomOperations) {
   // Seeded differential test: random schedules (times on a coarse grid,
-  // so many share `at`), cancels of live, already-cancelled and
-  // already-run events (stale handles whose slot a later event may now
-  // hold), and pops — some from inside callbacks that cancel or schedule
-  // in turn. The reference is a set ordered by (at, seq); every pop must
-  // run exactly its smallest element.
+  // so many share `at`) and pops — some from inside callbacks that
+  // schedule in turn. The reference is a set ordered by (at, seq); every
+  // pop must run exactly its smallest element.
   for (const std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
     decor::common::Rng rng(seed);
     EventQueue q;
-    std::set<std::tuple<Time, std::uint64_t>> live;  // (at, seq)
-    struct Scheduled {
-      EventHandle handle;
-      Time at;
-      std::uint64_t seq;
-    };
-    std::vector<Scheduled> all;
+    std::set<std::tuple<Time, std::uint64_t>> pending;  // (at, seq)
     std::vector<std::uint64_t> ran;
     Time now = 0.0;
 
     // Schedules one event whose callback records its seq and sometimes
-    // cancels another event and schedules one more; declared first so
-    // the callbacks can call it.
+    // schedules one more; declared first so the callbacks can call it.
     std::function<void()> schedule_one;
-    const auto cancel_random = [&] {
-      if (all.empty()) return;
-      const auto& e = all[rng.below(all.size())];
-      live.erase({e.at, e.seq});  // no-op when it ran or was cancelled
-      EventHandle h = e.handle;
-      h.cancel();
-    };
     schedule_one = [&] {
       const Time at = now + 0.5 * static_cast<double>(rng.below(4));
       const std::uint64_t seq = q.scheduled_total();
       const bool nested = rng.bernoulli(0.2);
-      EventHandle h = q.schedule(at, [&, seq, nested] {
+      q.schedule(at, [&, seq, nested] {
         ran.push_back(seq);
-        if (nested) {
-          cancel_random();
-          schedule_one();
-        }
+        if (nested) schedule_one();
       });
-      all.push_back({h, at, seq});
-      live.insert({at, seq});
+      pending.insert({at, seq});
     };
 
     for (int step = 0; step < 4000; ++step) {
-      const double op = rng.uniform();
-      if (op < 0.45) {
+      if (rng.uniform() < 0.45) {
         schedule_one();
-      } else if (op < 0.6) {
-        cancel_random();
-      } else if (!live.empty()) {
+      } else if (!pending.empty()) {
         ASSERT_FALSE(q.empty());
-        const auto [at, seq] = *live.begin();
+        const auto [at, seq] = *pending.begin();
         ASSERT_EQ(q.next_time(), at);
-        live.erase(live.begin());
+        pending.erase(pending.begin());
         now = at;
         ran.clear();
         EXPECT_EQ(q.pop_and_run(), at);
@@ -227,9 +137,9 @@ TEST(EventQueue, MatchesASortedReferenceUnderRandomOperations) {
         ASSERT_TRUE(q.empty());
       }
     }
-    while (!live.empty()) {
-      const auto [at, seq] = *live.begin();
-      live.erase(live.begin());
+    while (!pending.empty()) {
+      const auto [at, seq] = *pending.begin();
+      pending.erase(pending.begin());
       now = at;
       ran.clear();
       q.pop_and_run();
@@ -311,16 +221,6 @@ TEST(Simulator, SchedulingIntoThePastThrows) {
 TEST(Simulator, DeterministicRngFromSeed) {
   Simulator a(7), b(7);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a.rng()(), b.rng()());
-}
-
-TEST(Simulator, CancelledHandleReportsState) {
-  Simulator sim;
-  auto h = sim.schedule(1.0, [] {});
-  EXPECT_TRUE(h.valid());
-  EXPECT_FALSE(h.cancelled());
-  h.cancel();
-  EXPECT_TRUE(h.cancelled());
-  EXPECT_FALSE(EventHandle{}.valid());
 }
 
 }  // namespace

@@ -2,14 +2,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <set>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include <mutex>
 
 namespace {
 
@@ -102,8 +102,8 @@ TEST(ParallelFor, DefaultThreadCountPositive) {
 }
 
 TEST(ParallelFor, EmptyRangeEngagesNoWorkers) {
-  // Regression: an empty range must neither run the body nor wake any
-  // pool worker, no matter how many threads were requested.
+  // Regression: an empty range must neither run the body nor start any
+  // worker, no matter how many threads were requested.
   int calls = 0;
   const std::size_t engaged =
       parallel_for(0, [&](std::size_t) { ++calls; }, 8);
@@ -131,8 +131,8 @@ TEST(ParallelFor, InlineRunsReportZeroWorkers) {
 
 TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
   // A job that itself calls parallel_for (BenefitIndex::rebuild inside a
-  // run_jobs job) must not re-enter the pool: the nested call runs
-  // inline on the worker, engaging zero extra workers.
+  // run_jobs job) must not start threads of its own: the nested call
+  // runs inline on the worker, engaging zero extra workers.
   std::atomic<std::size_t> nested_engaged{0};
   std::atomic<int> inner_calls{0};
   parallel_for(
@@ -147,15 +147,57 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
   EXPECT_EQ(inner_calls.load(), 200);
 }
 
-TEST(ParallelFor, PoolIsReusedAcrossManySmallCalls) {
-  // The per-batch hot path: thousands of short parallel regions must
-  // work back to back (persistent pool, no per-call thread spawn).
+TEST(ParallelFor, ManySmallCallsBackToBack) {
+  // Thousands of short parallel regions in a row, each starting and
+  // joining its own workers: a stress case for the tsan preset.
   std::atomic<long> total{0};
   for (int round = 0; round < 2000; ++round) {
     parallel_for(8, [&](std::size_t i) { total += static_cast<long>(i); },
                  4);
   }
   EXPECT_EQ(total.load(), 2000L * 28);
+}
+
+TEST(ParallelFor, EngagesAtMost64Workers) {
+  // `--threads` is user input (a negative value casts to a huge count):
+  // the request is capped, and every index still runs once.
+  std::vector<std::atomic<int>> visits(200);
+  const std::size_t engaged =
+      parallel_for(200, [&](std::size_t i) { ++visits[i]; }, 1000);
+  EXPECT_LE(engaged, 64u);
+  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+// Threads of this process, or 0 where /proc/self/task is missing.
+std::size_t thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+TEST(ParallelFor, LeavesNoThreadsBehind) {
+  // Every worker a call starts is joined before it returns, so the
+  // process's thread count is back where it was. One plain thread runs
+  // first, because ThreadSanitizer starts a helper thread of its own
+  // with the process's first thread.
+  std::thread([] {}).join();
+  const std::size_t before = thread_count();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task to count threads";
+  const std::size_t engaged = parallel_for(
+      64, [](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      },
+      4);
+  EXPECT_EQ(engaged, 3u);
+  // An exited thread can linger in /proc for a moment; poll up to 1 s.
+  std::size_t after = thread_count();
+  for (int i = 0; i < 100 && after != before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = thread_count();
+  }
+  EXPECT_EQ(after, before);
 }
 
 TEST(ParallelFor, DeterministicResultSlots) {

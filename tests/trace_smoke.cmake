@@ -5,7 +5,8 @@
 # count, which counts Perfetto's span-end and instant events too), with
 # the ARQ's own retransmission count, also on a wrapped trace ring, and
 # an unopenable --trace-jsonl sink must fail the run with a nonzero exit
-# (not a silent empty artifact).
+# (not a silent empty artifact). A bare `decor trace` prints the same
+# usage as `trace report`, run directory included.
 #
 # Invoked by ctest as:
 #   cmake -DBIN=<decor_cli> -DOUT=<scratch dir> -P trace_smoke.cmake
@@ -138,4 +139,16 @@ execute_process(
   OUTPUT_QUIET ERROR_QUIET)
 if(rc EQUAL 0)
   message(FATAL_ERROR "sim with unopenable --trace-jsonl must exit nonzero")
+endif()
+
+# Without `report`, `decor trace` names every input `trace report` takes.
+execute_process(
+  COMMAND ${BIN} trace
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE usage)
+string(FIND "${usage}" "run-dir" pos)
+if(NOT rc EQUAL 1 OR pos EQUAL -1)
+  message(FATAL_ERROR "bare `decor trace` must exit 1 and name run-dir in "
+                      "its usage (rc=${rc}): ${usage}")
 endif()

@@ -8,7 +8,8 @@
 //   connectivity  deploy and measure communication-graph connectivity
 //   lifetime      duty-cycled sleep scheduling on a k-covered network
 //   peas          PEAS baseline working-set formation
-//   trace report  summarize a trace dump (JSONL or Perfetto JSON)
+//   trace report  summarize a trace dump (JSONL, Perfetto JSON or a run
+//                 directory)
 //   report html   render one or more run directories as one HTML file
 //   watch         live TUI dashboard (run dir replay, DTLM capture, or
 //                 stdin: `sim ... --telemetry=- | decor watch -`)
@@ -738,6 +739,12 @@ int cmd_connectivity(const common::Options& opts, CliReport& rep) {
   return 0;
 }
 
+int trace_usage() {
+  std::cerr << "usage: decor trace report <dump.jsonl|trace.json|run-dir> "
+               "[--top=N]\n";
+  return 1;
+}
+
 /// `decor trace report <dump>` — reconstructs protocol-level statistics
 /// (per-kind send counts, retransmit ratio, convergence time, slowest
 /// exchanges) from a trace dump alone. A run directory or a decor trace
@@ -751,11 +758,7 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
   // Options drops the subcommand itself ("trace"), so positional()[0] is
   // "report" and [1] the dump path.
   if (path.empty() && pos.size() >= 2) path = pos[1];
-  if (path.empty()) {
-    std::cerr << "usage: decor trace report <dump.jsonl|trace.json|run-dir> "
-                 "[--top=N]\n";
-    return 1;
-  }
+  if (path.empty()) return trace_usage();
   core::Artifact jsonl;
   std::ifstream f;
   bool chrome = false;
@@ -959,10 +962,7 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
 
 int cmd_trace(const common::Options& opts, CliReport& rep) {
   const auto& pos = opts.positional();
-  if (pos.empty() || pos[0] != "report") {
-    std::cerr << "usage: decor trace report <dump.jsonl|trace.json>\n";
-    return 1;
-  }
+  if (pos.empty() || pos[0] != "report") return trace_usage();
   return cmd_trace_report(opts, rep);
 }
 
